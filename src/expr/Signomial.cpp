@@ -50,11 +50,6 @@ bool Signomial::isPosynomial() const {
   return !Monomials.empty();
 }
 
-const Monomial &Signomial::asMonomial() const {
-  assert(Monomials.size() == 1 && "signomial is not a single monomial");
-  return Monomials.front();
-}
-
 Signomial Signomial::operator+(const Signomial &Other) const {
   Signomial Out = *this;
   Out += Other;

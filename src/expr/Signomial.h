@@ -50,9 +50,6 @@ public:
   /// True if this is a single monomial with positive coefficient.
   bool isMonomial() const { return Monomials.size() == 1 && isPosynomial(); }
 
-  /// Returns the unique monomial; asserts isMonomial-like shape.
-  const Monomial &asMonomial() const;
-
   Signomial operator+(const Signomial &Other) const;
   Signomial operator-(const Signomial &Other) const;
   Signomial operator*(const Signomial &Other) const;

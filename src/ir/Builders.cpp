@@ -52,19 +52,65 @@ Status ConvLayer::validate() const {
                                    std::to_string(C) +
                                    " not divisible by Groups = " +
                                    std::to_string(Groups));
-  if (!Transposed && Padding == ConvPadding::Valid) {
-    if (Hin < DilationX * (R - 1) + 1)
+  // Every count the models derive must fit int64. The MAC count and the
+  // footprint of the strided tensor (In, or Out when transposed) bound
+  // all the others, so checked arithmetic on those turns an oversized
+  // shape into an input error instead of a wrap-around downstream.
+  bool Overflow = false;
+  auto mul = [&Overflow](std::int64_t A, std::int64_t B) {
+    Overflow |= __builtin_mul_overflow(A, B, &A);
+    return A;
+  };
+  auto add = [&Overflow](std::int64_t A, std::int64_t B) {
+    Overflow |= __builtin_add_overflow(A, B, &A);
+    return A;
+  };
+  const std::int64_t KernelH = add(mul(DilationX, R - 1), 1);
+  const std::int64_t KernelW = add(mul(DilationY, S - 1), 1);
+  add(Hin, StrideX); // outH()/outW()'s ceiling division.
+  add(Win, StrideY);
+  if (!Overflow && !Transposed && Padding == ConvPadding::Valid) {
+    if (Hin < KernelH)
       return Status::invalidArgument(
           "layer '" + Name + "': valid padding needs Hin >= " +
-          std::to_string(DilationX * (R - 1) + 1) +
-          " (dilated kernel height), got " + std::to_string(Hin));
-    if (Win < DilationY * (S - 1) + 1)
+          std::to_string(KernelH) + " (dilated kernel height), got " +
+          std::to_string(Hin));
+    if (Win < KernelW)
       return Status::invalidArgument(
           "layer '" + Name + "': valid padding needs Win >= " +
-          std::to_string(DilationY * (S - 1) + 1) +
-          " (dilated kernel width), got " + std::to_string(Win));
+          std::to_string(KernelW) + " (dilated kernel width), got " +
+          std::to_string(Win));
   }
+  if (!Overflow) {
+    const std::int64_t ExtH = Transposed ? Hin : outH();
+    const std::int64_t ExtW = Transposed ? Win : outW();
+    mul(mul(N, Transposed ? K : C),
+        mul(add(mul(StrideX, ExtH - 1), KernelH),
+            add(mul(StrideY, ExtW - 1), KernelW)));
+    mul(mul(mul(N, K), mul(C / Groups, R)), mul(S, mul(ExtH, ExtW)));
+  }
+  if (Overflow)
+    return Status::invalidArgument(
+        "layer '" + Name + "': too large: the MAC count or a tensor "
+        "footprint overflows a 64-bit integer");
   return Status::ok();
+}
+
+Expected<ConvLayer>
+thistle::customLayer(const std::vector<std::int64_t> &Dims) {
+  if (Dims.size() < 6 || Dims.size() > 8)
+    return Status::invalidArgument("wants K,C,H,W,R,S[,stride[,dilation]]");
+  ConvLayer L;
+  L.Name = "custom";
+  L.K = Dims[0];
+  L.C = Dims[1];
+  L.Hin = Dims[2];
+  L.Win = Dims[3];
+  L.R = Dims[4];
+  L.S = Dims[5];
+  L.StrideX = L.StrideY = Dims.size() > 6 ? Dims[6] : 1;
+  L.DilationX = L.DilationY = Dims.size() > 7 ? Dims[7] : 1;
+  return L;
 }
 
 std::int64_t ConvLayer::outH() const {

@@ -94,6 +94,11 @@ struct ConvLayer {
   const char *layerClass() const;
 };
 
+/// The layer "custom" of a K,C,H,W,R,S[,stride[,dilation]] list, as
+/// thistle-opt --layer and the thistle-serve/1 "layer" array spell it;
+/// stride and dilation (default 1) apply to both axes.
+Expected<ConvLayer> customLayer(const std::vector<std::int64_t> &Dims);
+
 /// Builds the CNN problem of Listing 1 for \p Layer, generalized over the
 /// layer classes above (asserts Layer.validate()). Iterators appear in the
 /// order n, [g,] k, c, r, s, h, w — the group iterator g (extent Groups)

@@ -6,8 +6,22 @@
 #include "nestmodel/Evaluator.h"
 
 #include <cassert>
+#include <iterator>
 
 using namespace thistle;
+
+const char *const ObjectiveNames[] = {"energy", "delay", "edp"};
+
+const char *thistle::objectiveName(SearchObjective Objective) {
+  return ObjectiveNames[static_cast<int>(Objective)];
+}
+
+Expected<SearchObjective> thistle::parseObjective(const std::string &Token) {
+  for (std::size_t I = 0; I < std::size(ObjectiveNames); ++I)
+    if (Token == ObjectiveNames[I])
+      return static_cast<SearchObjective>(I);
+  return Status::invalidArgument("unknown objective '" + Token + "'");
+}
 
 double thistle::objectiveValue(const EvalResult &Eval,
                                SearchObjective Objective) {

@@ -17,6 +17,10 @@
 #ifndef THISTLE_NESTMODEL_OBJECTIVE_H
 #define THISTLE_NESTMODEL_OBJECTIVE_H
 
+#include "support/Status.h"
+
+#include <string>
+
 namespace thistle {
 
 struct EvalResult;
@@ -31,6 +35,12 @@ enum class SearchObjective {
   /// library implements it as an extension.
   EnergyDelayProduct,
 };
+
+/// Stable lower-case token of an objective ("energy" / "delay" / "edp").
+const char *objectiveName(SearchObjective Objective);
+
+/// Parses an objective token as printed by objectiveName().
+Expected<SearchObjective> parseObjective(const std::string &Token);
 
 /// The scalar value an optimizer minimizes for \p Objective.
 double objectiveValue(const EvalResult &Eval, SearchObjective Objective);

@@ -86,9 +86,10 @@ public:
   const std::string &string() const { return StringV; }
 
   /// Number as a non-negative integer if it is exactly one (serve
-  /// requests carry ids, extents and millisecond budgets this way).
+  /// requests carry ids, extents and millisecond budgets this way);
+  /// numbers of 2^64 or more do not fit and are rejected.
   bool asUint(std::uint64_t &Out) const {
-    if (K != Kind::Number || NumberV < 0)
+    if (K != Kind::Number || !(NumberV >= 0 && NumberV < 0x1p64))
       return false;
     std::uint64_t V = static_cast<std::uint64_t>(NumberV);
     if (static_cast<double>(V) != NumberV)

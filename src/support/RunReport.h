@@ -154,6 +154,17 @@ struct RunReport {
   double MacIpc = 0.0;
   double EdpPjCycles = 0.0;
 
+  /// Fills the result block from a found design's evaluation (an
+  /// EvalResult or MultiEvalResult).
+  template <class Eval> void setResult(const Eval &E) {
+    Found = true;
+    EnergyPj = E.EnergyPj;
+    EnergyPerMacPj = E.EnergyPerMacPj;
+    Cycles = E.Cycles;
+    MacIpc = E.MacIpc;
+    EdpPjCycles = E.EdpPjCycles;
+  }
+
   /// Per-task sweep accounting (pair or combo sweep); HasSweep is false
   /// for runs that never sweep (e.g. usage errors).
   bool HasSweep = false;

@@ -54,6 +54,9 @@ public:
   /// std::thread::hardware_concurrency with a floor of 1.
   static unsigned defaultWorkerCount();
 
+  /// The largest worker count the tools accept for --threads.
+  static constexpr unsigned MaxWorkers = 1024;
+
 private:
   void workerLoop();
 

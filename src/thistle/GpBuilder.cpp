@@ -5,8 +5,22 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
 
 using namespace thistle;
+
+const char *const DesignModeNames[] = {"dataflow", "codesign"};
+
+const char *thistle::designModeName(DesignMode Mode) {
+  return DesignModeNames[static_cast<int>(Mode)];
+}
+
+Expected<DesignMode> thistle::parseDesignMode(const std::string &Token) {
+  for (std::size_t I = 0; I < std::size(DesignModeNames); ++I)
+    if (Token == DesignModeNames[I])
+      return static_cast<DesignMode>(I);
+  return Status::invalidArgument("unknown mode '" + Token + "'");
+}
 
 namespace {
 

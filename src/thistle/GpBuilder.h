@@ -42,6 +42,12 @@ enum class DesignMode {
   CoDesign,     ///< Eq. 5: R, S, P variables under an area budget.
 };
 
+/// Stable lower-case token of a design mode ("dataflow" / "codesign").
+const char *designModeName(DesignMode Mode);
+
+/// Parses a design-mode token as printed by designModeName().
+Expected<DesignMode> parseDesignMode(const std::string &Token);
+
 /// How signomial halo factors (e.g. r_h + r_r - 1) are over-approximated
 /// to stay within DGP.
 enum class HaloBound {

@@ -221,11 +221,9 @@ GpCacheKeys thistle::gpCacheKeys(const Problem &Prob,
     S += ',';
   }
   S += "|opt:";
-  S += Options.Mode == DesignMode::CoDesign ? "codesign" : "dataflow";
+  S += designModeName(Options.Mode);
   S += ',';
-  S += Options.Objective == SearchObjective::Energy  ? "energy"
-       : Options.Objective == SearchObjective::Delay ? "delay"
-                                                     : "edp";
+  S += objectiveName(Options.Objective);
   S += Options.SpatialUntiled ? ",su1," : ",su0,";
   S += "tiled:";
   appendIndices(S, TiledIters);
@@ -485,6 +483,15 @@ Status GpSolutionCache::attachJournal(const std::string &Path) {
 void GpSolutionCache::detachJournal() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Journal.close();
+}
+
+Status GpSolutionCache::compact(const std::string &SnapPath,
+                                const std::string &JournalPath) {
+  detachJournal();
+  Status St = saveSnapshotFile(SnapPath);
+  if (St.isOk())
+    persist::removeFile(JournalPath);
+  return St;
 }
 
 std::size_t GpSolutionCache::size() const {

@@ -168,6 +168,12 @@ public:
   /// journalAppendFailures(), and never fail the insert.
   Status attachJournal(const std::string &Path);
   void detachJournal();
+
+  /// Folds the journal into one snapshot: detaches the journal, writes
+  /// the exact tier to \p SnapPath, and removes \p JournalPath only if
+  /// the write succeeded — on failure the journal keeps every entry for
+  /// the next load. Returns the snapshot write's status.
+  Status compact(const std::string &SnapPath, const std::string &JournalPath);
   std::uint64_t journalAppendFailures() const {
     return JournalFailures.load();
   }

@@ -345,3 +345,45 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
         " candidates=" + std::to_string(Result.Stats.ArchCandidates));
   return Result;
 }
+
+void thistle::fillNetworkReport(const NetworkResult &R, bool CacheEnabled,
+                                RunReport &RR) {
+  RR.HasSweep = true;
+  RR.SweepTaskNoun = "pair";
+  RR.Sweep = R.Report;
+  RR.Found = R.Found;
+  RR.Network.Present = true;
+  RR.Network.LayersTotal = R.Stats.LayersTotal;
+  RR.Network.LayersFound = R.LayersFound;
+  RR.Network.UniqueShapes = R.Stats.UniqueShapes;
+  RR.Network.CacheEnabled = CacheEnabled;
+  RR.Network.CacheHits = R.Stats.CacheHits;
+  RR.Network.CacheMisses = R.Stats.CacheMisses;
+  RR.Network.CacheWarmStarts = R.Stats.CacheWarmStarts;
+  RR.Network.ArchCandidates = R.Stats.ArchCandidates;
+  RR.Network.SummedObjective = R.Totals.SummedObjective;
+  RR.Network.TotalEnergyPj = R.Totals.EnergyPj;
+  RR.Network.TotalCycles = R.Totals.Cycles;
+  RR.Network.TotalEdpPjCycles = R.Totals.EdpPjCycles;
+  RR.Network.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
+  RR.Network.Macs = static_cast<std::uint64_t>(R.Totals.Macs);
+  // The network totals double as the run's result block: the pipeline
+  // energy/delay on the selected architecture.
+  RR.EnergyPj = R.Totals.EnergyPj;
+  RR.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
+  RR.Cycles = R.Totals.Cycles;
+  RR.EdpPjCycles = R.Totals.EdpPjCycles;
+  for (const NetworkLayerResult &L : R.Layers) {
+    RunReportNetworkLayer Row;
+    Row.Name = L.Name;
+    Row.ShapeIndex = L.ShapeIndex;
+    Row.Multiplicity = L.Multiplicity;
+    Row.Deduplicated = L.Deduplicated;
+    Row.Found = L.Result.Found;
+    if (L.Result.Found) {
+      Row.EnergyPj = L.Result.Eval.EnergyPj;
+      Row.Cycles = L.Result.Eval.Cycles;
+    }
+    RR.Network.Layers.push_back(std::move(Row));
+  }
+}

@@ -24,6 +24,7 @@
 #define THISTLE_THISTLE_NETWORK_H
 
 #include "ir/Builders.h"
+#include "support/RunReport.h"
 #include "thistle/GpCache.h"
 #include "thistle/Optimizer.h"
 
@@ -157,6 +158,11 @@ NetworkResult optimizeNetwork(const std::vector<ConvLayer> &Layers,
                               const TechParams &Tech,
                               const NetworkOptions &Options,
                               double AreaBudgetUm2 = 0.0);
+
+/// Fills the run report's sweep, result block and network section from
+/// \p R; \p CacheEnabled says whether a GP solution cache served the run.
+void fillNetworkReport(const NetworkResult &R, bool CacheEnabled,
+                       RunReport &RR);
 
 } // namespace thistle
 

@@ -31,6 +31,10 @@
 
 namespace thistle {
 
+/// Input bounds shared by thistle-opt's flags and thistle-serve/1 queries.
+constexpr std::int64_t MaxDeadlineMs = 2147483647; ///< About 24.8 days.
+constexpr double MaxAreaUm2 = 1e11; ///< More than a whole 300 mm wafer.
+
 /// Optimizer configuration.
 struct ThistleOptions {
   SearchObjective Objective = SearchObjective::Energy;
@@ -44,9 +48,6 @@ struct ThistleOptions {
   bool SpatialUntiled = true;
   /// Cap on permutation-class pairs to solve (0 = all).
   unsigned MaxPermClassPairs = 0;
-  /// Skip pairs that are mirror images under problem symmetries
-  /// (the paper's H/W pruning).
-  bool UseSymmetryPruning = true;
   /// Worker threads for the pair sweep (0 = one per hardware thread).
   /// The result is bit-identical at every thread count — the sweep plan
   /// is fixed before fan-out and the winner is reduced with a total

@@ -78,9 +78,7 @@ LayerSweepPlan thistle::planLayerSweep(const Problem &Prob,
   for (const PermClass &C : Plan.Classes)
     Plan.RawPermsPerLevel += C.MemberCount;
 
-  std::vector<ProblemSymmetry> Symmetries;
-  if (Options.UseSymmetryPruning)
-    Symmetries = findProblemSymmetries(Prob);
+  const std::vector<ProblemSymmetry> Symmetries = findProblemSymmetries(Prob);
 
   // Symmetry pruning and the pair cap depend on the enumeration order,
   // so the task list is fixed here, before any fan-out. Capped pairs

@@ -15,6 +15,7 @@
 #include "workloads/Workloads.h"
 
 #include <chrono>
+#include <limits>
 #include <utility>
 
 using namespace thistle;
@@ -27,27 +28,8 @@ constexpr const char *ServeSchema = "thistle-serve/1";
 /// The stable status token of each thistle-opt exit code
 /// (docs/SERVING.md mirrors docs/THISTLE_OPT.md).
 const char *statusForExit(int Exit) {
-  switch (Exit) {
-  case 0:
-    return "ok";
-  case 1:
-    return "degraded";
-  case 2:
-    return "invalid";
-  case 3:
-    return "no-design";
-  }
-  return "error";
-}
-
-const char *modeName(DesignMode Mode) {
-  return Mode == DesignMode::CoDesign ? "codesign" : "dataflow";
-}
-
-const char *objectiveName(SearchObjective Obj) {
-  return Obj == SearchObjective::Energy  ? "energy"
-         : Obj == SearchObjective::Delay ? "delay"
-                                         : "edp";
+  const char *const Names[] = {"ok", "degraded", "invalid", "no-design"};
+  return Exit >= 0 && Exit < 4 ? Names[Exit] : "error";
 }
 
 } // namespace
@@ -96,40 +78,31 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
     return Status::invalidArgument(
         "\"workload\" wants exactly one of layer/resnet/yolo/network");
   const auto &[Kind, V] = W.members().front();
-  auto parseLayerDims = [&Job](const JsonValue &A) -> Status {
-    if (!A.isArray() || A.array().size() < 6 || A.array().size() > 8)
-      return Status::invalidArgument(
-          "\"layer\" wants [K,C,H,W,R,S[,stride[,dilation]]]");
-    std::vector<std::int64_t> Dims;
-    for (const JsonValue &E : A.array()) {
-      std::uint64_t N = 0;
-      if (!E.asUint(N) || N < 1)
-        return Status::invalidArgument(
-            "\"layer\" dimensions must be positive integers");
-      Dims.push_back(static_cast<std::int64_t>(N));
-    }
-    Job.Layer.Name = "custom";
-    Job.Layer.K = Dims[0];
-    Job.Layer.C = Dims[1];
-    Job.Layer.Hin = Dims[2];
-    Job.Layer.Win = Dims[3];
-    Job.Layer.R = Dims[4];
-    Job.Layer.S = Dims[5];
-    Job.Layer.StrideX = Job.Layer.StrideY = Dims.size() > 6 ? Dims[6] : 1;
-    Job.Layer.DilationX = Job.Layer.DilationY =
-        Dims.size() > 7 ? Dims[7] : 1;
-    return Status::ok();
-  };
   if (Kind == "layer") {
     // Two wire forms: the [K,C,H,W,R,S[,stride[,dilation]]] array, or an
     // object whose "dims" is that array plus the general-conv fields
     // ("groups", "transposed", "padding" — docs/WORKLOADS.md). Either way
     // the layer passes the same ConvLayer::validate() the CLI uses.
+    const JsonValue *Dims = V.isObject() ? V.find("dims") : &V;
+    if (!Dims)
+      return Status::invalidArgument("\"layer\" object needs \"dims\"");
+    // A non-array has no elements, which customLayer rejects.
+    std::vector<std::int64_t> Values;
+    for (const JsonValue &E : Dims->array()) {
+      std::uint64_t N = 0;
+      if (!E.asUint(N) || N < 1)
+        return Status::invalidArgument(
+            "\"layer\" dimensions must be positive integers");
+      Values.push_back(static_cast<std::int64_t>(N));
+    }
+    Expected<ConvLayer> Custom = customLayer(Values);
+    if (!Custom)
+      return Custom.withContext("\"layer\"").status();
+    Job.Layer = Custom.value();
     if (V.isObject()) {
-      const JsonValue *Dims = nullptr;
       for (const auto &[LK, LV] : V.members()) {
         if (LK == "dims") {
-          Dims = &LV;
+          continue;
         } else if (LK == "groups") {
           std::uint64_t N = 0;
           if (!LV.asUint(N) || N < 1)
@@ -156,12 +129,6 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
                                          "'");
         }
       }
-      if (!Dims)
-        return Status::invalidArgument("\"layer\" object needs \"dims\"");
-      if (Status St = parseLayerDims(*Dims); !St.isOk())
-        return St;
-    } else if (Status St = parseLayerDims(V); !St.isOk()) {
-      return St;
     }
     return Job.Layer.validate();
   }
@@ -179,21 +146,12 @@ Status parseWorkload(const JsonValue &W, ServeEngine::SolveJob &Job) {
   if (Kind == "network") {
     if (!V.isString())
       return Status::invalidArgument("\"network\" wants a string");
-    const std::string &Name = V.string();
-    if (Name == "resnet18")
-      Job.NetworkLayers = resnet18NetworkLayers();
-    else if (Name == "yolo9000")
-      Job.NetworkLayers = yolo9000NetworkLayers();
-    else if (Name == "mobilenetv2")
-      Job.NetworkLayers = mobilenetV2NetworkLayers();
-    else if (Name == "dcgan")
-      Job.NetworkLayers = dcganNetworkLayers();
-    else if (Name == "all")
-      Job.NetworkLayers = allNetworkLayers();
-    else
-      return Status::invalidArgument("unknown network '" + Name + "'");
+    Expected<std::vector<ConvLayer>> Layers = networkLayers(V.string());
+    if (!Layers)
+      return Layers.status();
+    Job.NetworkLayers = std::move(Layers.value());
     Job.IsNetwork = true;
-    Job.NetworkName = Name;
+    Job.NetworkName = V.string();
     return Status::ok();
   }
   return Status::invalidArgument("unknown workload kind '" + Kind + "'");
@@ -216,40 +174,33 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
     } else if (K == "mode") {
       if (!V.isString())
         return Status::invalidArgument("\"mode\" wants a string");
-      if (V.string() == "dataflow")
-        Job.Mode = DesignMode::DataflowOnly;
-      else if (V.string() == "codesign")
-        Job.Mode = DesignMode::CoDesign;
-      else
-        return Status::invalidArgument("unknown mode '" + V.string() + "'");
+      Expected<DesignMode> Mode = parseDesignMode(V.string());
+      if (!Mode)
+        return Mode.status();
+      Job.Mode = Mode.value();
     } else if (K == "objective") {
       if (!V.isString())
         return Status::invalidArgument("\"objective\" wants a string");
-      if (V.string() == "energy")
-        Job.Objective = SearchObjective::Energy;
-      else if (V.string() == "delay")
-        Job.Objective = SearchObjective::Delay;
-      else if (V.string() == "edp")
-        Job.Objective = SearchObjective::EnergyDelayProduct;
-      else
-        return Status::invalidArgument("unknown objective '" + V.string() +
-                                       "'");
+      Expected<SearchObjective> Obj = parseObjective(V.string());
+      if (!Obj)
+        return Obj.status();
+      Job.Objective = Obj.value();
     } else if (K == "candidates") {
       std::uint64_t N = 0;
-      if (!V.asUint(N) || N < 1)
+      if (!V.asUint(N) || N < 1 || N > std::numeric_limits<unsigned>::max())
         return Status::invalidArgument(
-            "\"candidates\" wants a positive integer");
+            "\"candidates\" wants a positive 32-bit integer");
       Job.Candidates = static_cast<unsigned>(N);
     } else if (K == "deadline_ms") {
       std::uint64_t N = 0;
-      if (!V.asUint(N) || N < 1)
+      if (!V.asUint(N) || N < 1 || N > MaxDeadlineMs)
         return Status::invalidArgument(
-            "\"deadline_ms\" wants a positive millisecond count");
+            "\"deadline_ms\" wants 1-2147483647 milliseconds");
       Job.DeadlineMs = N;
     } else if (K == "area_budget") {
-      if (!V.isNumber() || V.number() <= 0.0)
+      if (!V.isNumber() || V.number() <= 0.0 || V.number() > MaxAreaUm2)
         return Status::invalidArgument(
-            "\"area_budget\" wants a positive um^2 area");
+            "\"area_budget\" wants a positive um^2 area of at most 1e11");
       Job.AreaBudget = V.number();
     } else if (K == "arch") {
       if (!V.isObject())
@@ -304,7 +255,7 @@ Status parseQuery(const JsonValue &Q, const TechParams &Tech,
                           paddingName(Job.Layer.Padding) + ":" +
                           Job.Layer.Name;
   Key += "|mode=";
-  Key += modeName(Job.Mode);
+  Key += designModeName(Job.Mode);
   Key += "|obj=";
   Key += objectiveName(Job.Objective);
   Key += "|cand=" + std::to_string(Job.Candidates);
@@ -451,13 +402,9 @@ void ServeEngine::shutdown() {
   // Final compaction: fold the journal into one atomic snapshot and
   // drop it. On failure the journal is kept — nothing is lost, the
   // next start replays it.
-  if (Persist) {
-    Cache.detachJournal();
-    if (Cache.saveSnapshotFile(SnapPath).isOk()) {
-      SnapshotWritten = true;
-      persist::removeFile(JournalPath);
-      ++Compactions;
-    }
+  if (Persist && Cache.compact(SnapPath, JournalPath).isOk()) {
+    SnapshotWritten = true;
+    ++Compactions;
   }
 }
 
@@ -548,10 +495,8 @@ void ServeEngine::solverLoop() {
     if (Persist && Opts.SnapshotEvery && N % Opts.SnapshotEvery == 0) {
       // Periodic compaction, from the solver thread so it never races a
       // journal append.
-      Cache.detachJournal();
-      if (Cache.saveSnapshotFile(SnapPath).isOk()) {
+      if (Cache.compact(SnapPath, JournalPath).isOk()) {
         SnapshotWritten = true;
-        persist::removeFile(JournalPath);
         ++Compactions;
       }
       if (Status St = Cache.attachJournal(JournalPath); !St.isOk())
@@ -575,7 +520,7 @@ void ServeEngine::runJob(SolveJob &Job) {
 
   RunReport RR;
   RR.Tool = "thistle-serve";
-  RR.Mode = modeName(Job.Mode);
+  RR.Mode = designModeName(Job.Mode);
   RR.Objective = objectiveName(Job.Objective);
   RR.Hierarchy = "classic3";
   RR.Threads = Pool.numWorkers();
@@ -599,12 +544,7 @@ void ServeEngine::runJob(SolveJob &Job) {
       if (!R.Found) {
         Exit = 3;
       } else {
-        RR.Found = true;
-        RR.EnergyPj = R.Eval.EnergyPj;
-        RR.EnergyPerMacPj = R.Eval.EnergyPerMacPj;
-        RR.Cycles = R.Eval.Cycles;
-        RR.MacIpc = R.Eval.MacIpc;
-        RR.EdpPjCycles = R.Eval.EdpPjCycles;
+        RR.setResult(R.Eval);
         Exit = RR.Sweep.clean() ? 0 : 1;
       }
     }
@@ -621,42 +561,7 @@ void ServeEngine::runJob(SolveJob &Job) {
       Job.Error = R.InputStatus.toString();
       Exit = 2;
     } else {
-      RR.HasSweep = true;
-      RR.SweepTaskNoun = "pair";
-      RR.Sweep = SweepReport(R.Report);
-      RR.Found = R.Found;
-      RR.Network.Present = true;
-      RR.Network.LayersTotal = R.Stats.LayersTotal;
-      RR.Network.LayersFound = R.LayersFound;
-      RR.Network.UniqueShapes = R.Stats.UniqueShapes;
-      RR.Network.CacheEnabled = true;
-      RR.Network.CacheHits = R.Stats.CacheHits;
-      RR.Network.CacheMisses = R.Stats.CacheMisses;
-      RR.Network.CacheWarmStarts = R.Stats.CacheWarmStarts;
-      RR.Network.ArchCandidates = R.Stats.ArchCandidates;
-      RR.Network.SummedObjective = R.Totals.SummedObjective;
-      RR.Network.TotalEnergyPj = R.Totals.EnergyPj;
-      RR.Network.TotalCycles = R.Totals.Cycles;
-      RR.Network.TotalEdpPjCycles = R.Totals.EdpPjCycles;
-      RR.Network.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
-      RR.Network.Macs = static_cast<std::uint64_t>(R.Totals.Macs);
-      RR.EnergyPj = R.Totals.EnergyPj;
-      RR.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
-      RR.Cycles = R.Totals.Cycles;
-      RR.EdpPjCycles = R.Totals.EdpPjCycles;
-      for (const NetworkLayerResult &L : R.Layers) {
-        RunReportNetworkLayer Row;
-        Row.Name = L.Name;
-        Row.ShapeIndex = L.ShapeIndex;
-        Row.Multiplicity = L.Multiplicity;
-        Row.Deduplicated = L.Deduplicated;
-        Row.Found = L.Result.Found;
-        if (L.Result.Found) {
-          Row.EnergyPj = L.Result.Eval.EnergyPj;
-          Row.Cycles = L.Result.Eval.Cycles;
-        }
-        RR.Network.Layers.push_back(std::move(Row));
-      }
+      fillNetworkReport(R, /*CacheEnabled=*/true, RR);
       if (R.LayersFound == 0) {
         Exit = 3;
       } else {

@@ -217,3 +217,29 @@ ArchConfig thistle::eyerissArch() {
 double thistle::eyerissAreaUm2(const TechParams &Tech) {
   return eyerissArch().areaUm2(Tech);
 }
+
+Expected<std::vector<ConvLayer>>
+thistle::networkLayers(const std::string &Name) {
+  if (Name == "resnet18")
+    return resnet18NetworkLayers();
+  if (Name == "yolo9000")
+    return yolo9000NetworkLayers();
+  if (Name == "mobilenetv2")
+    return mobilenetV2NetworkLayers();
+  if (Name == "dcgan")
+    return dcganNetworkLayers();
+  if (Name == "all")
+    return allNetworkLayers();
+  return Status::invalidArgument("unknown network '" + Name + "'");
+}
+
+Expected<std::vector<ConvLayer>>
+thistle::pipelineLayers(const std::string &Name) {
+  if (Name == "resnet")
+    return resnet18Layers();
+  if (Name == "yolo")
+    return yolo9000Layers();
+  if (Name == "all")
+    return allPaperLayers();
+  return Status::invalidArgument("unknown pipeline '" + Name + "'");
+}

@@ -19,6 +19,7 @@
 #include "ir/Builders.h"
 #include "model/TechModel.h"
 
+#include <string>
 #include <vector>
 
 namespace thistle {
@@ -66,6 +67,13 @@ std::vector<ConvLayer> dcganLayers();
 
 /// The DCGAN table as a network pipeline (each stage once).
 std::vector<ConvLayer> dcganNetworkLayers();
+
+/// The network pipeline named \p Name: "resnet18", "yolo9000",
+/// "mobilenetv2", "dcgan", or "all" (resnet18 then yolo9000).
+Expected<std::vector<ConvLayer>> networkLayers(const std::string &Name);
+
+/// The Table II stage list named \p Name: "resnet", "yolo", or "all".
+Expected<std::vector<ConvLayer>> pipelineLayers(const std::string &Name);
 
 /// The Eyeriss architectural parameters used as the paper's baseline.
 ArchConfig eyerissArch();

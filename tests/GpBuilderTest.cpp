@@ -56,6 +56,18 @@ struct GpBuilderFixture : public ::testing::Test {
 
 } // namespace
 
+TEST(GpBuilder, ModeAndObjectiveTokensRoundTrip) {
+  for (DesignMode M : {DesignMode::DataflowOnly, DesignMode::CoDesign})
+    EXPECT_EQ(parseDesignMode(designModeName(M)).value(), M);
+  for (SearchObjective O : {SearchObjective::Energy, SearchObjective::Delay,
+                            SearchObjective::EnergyDelayProduct})
+    EXPECT_EQ(parseObjective(objectiveName(O)).value(), O);
+  EXPECT_STREQ(designModeName(DesignMode::CoDesign), "codesign");
+  EXPECT_STREQ(objectiveName(SearchObjective::EnergyDelayProduct), "edp");
+  EXPECT_FALSE(parseDesignMode("Codesign").hasValue());
+  EXPECT_FALSE(parseObjective("power").hasValue());
+}
+
 TEST_F(GpBuilderFixture, DataflowModeStructure) {
   GpBuild B = buildGp(
       Prob, baseSpec(DesignMode::DataflowOnly, SearchObjective::Energy));

@@ -164,6 +164,44 @@ TEST(ConvLayer, ValidateNamesTheBadField) {
   EXPECT_TRUE(V.validate().isOk());
 }
 
+TEST(ConvLayer, ValidateRejectsShapesThatOverflow) {
+  // 1e12 * 1e6 * 56 * 56 * 3 * 3 MACs and a K near INT64_MAX both wrap a
+  // 64-bit count; they are input errors rather than garbage downstream.
+  ConvLayer L;
+  L.Name = "huge";
+  L.K = 1000000000000;
+  L.C = 1000000;
+  L.Hin = L.Win = 56;
+  L.R = L.S = 3;
+  Status S = L.validate();
+  ASSERT_FALSE(S.isOk());
+  EXPECT_EQ(S.code(), StatusCode::InvalidArgument);
+  EXPECT_NE(S.toString().find("overflows"), std::string::npos);
+  L.K = 9223372036854775806;
+  L.C = 64;
+  EXPECT_FALSE(L.validate().isOk());
+
+  // Transposed outputs and dilated kernels are extents that can wrap
+  // even when every field is small enough on its own.
+  ConvLayer T;
+  T.Transposed = true;
+  T.StrideX = T.StrideY = 4611686018427387904;
+  T.Hin = T.Win = 3;
+  EXPECT_FALSE(T.validate().isOk());
+  ConvLayer D;
+  D.R = D.S = 3;
+  D.DilationX = 4611686018427387904;
+  EXPECT_FALSE(D.validate().isOk());
+
+  // The largest shapes that fit still validate, and numMacs() is exact.
+  ConvLayer Big;
+  Big.K = 1 << 20;
+  Big.C = 1 << 20;
+  Big.Hin = Big.Win = 1 << 10;
+  EXPECT_TRUE(Big.validate().isOk());
+  EXPECT_EQ(Big.numMacs(), std::int64_t(1) << 60);
+}
+
 TEST(ConvLayer, GroupedMacCountAndClass) {
   ConvLayer L;
   L.K = 64;

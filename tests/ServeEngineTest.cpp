@@ -333,6 +333,32 @@ TEST(ServeEngine, GeneralConvValidationUsesTheErrorEnvelope) {
   Engine.shutdown();
 }
 
+TEST(ServeEngine, OutOfRangeNumbersAreInvalidAndTheEngineKeepsServing) {
+  ServeEngine Engine{ServeOptions{}};
+  ASSERT_TRUE(Engine.start().isOk());
+  // MAC counts that wrap a 64-bit integer, a dimension of 2^64 that does
+  // not fit the wire integer at all, and fields past the CLI flag ranges
+  // (candidates 2^32 + 2 must not wrap to 2).
+  for (const char *Query :
+       {"\"workload\":{\"layer\":[1000000000000,1000000,56,56,3,3]}",
+        "\"workload\":{\"layer\":[9223372036854775806,64,56,56,3,3]}",
+        "\"workload\":{\"layer\":[18446744073709551616,8,14,14,3,3]}",
+        "\"workload\":{\"resnet\":2},\"candidates\":4294967298",
+        "\"workload\":{\"resnet\":2},\"deadline_ms\":2147483648",
+        "\"workload\":{\"resnet\":2},\"mode\":\"codesign\","
+        "\"area_budget\":1e12"}) {
+    std::string Resp = Engine.handleLine(
+        std::string("{\"schema\":\"thistle-serve/1\",\"query\":{") +
+        Query + "}}");
+    EXPECT_NE(Resp.find("\"status\":\"invalid\""), std::string::npos)
+        << Query << " -> " << Resp;
+  }
+  EXPECT_EQ(Engine.stats().Queries, 0u);
+  std::string Ok = Engine.handleLine(LayerQuery);
+  EXPECT_NE(Ok.find("\"status\":\"ok\""), std::string::npos) << Ok;
+  Engine.shutdown();
+}
+
 TEST(ServeEngine, NewNetworkNamesAreAdmitted) {
   ServeEngine Engine{ServeOptions{}};
   ASSERT_TRUE(Engine.start().isOk());

@@ -1,5 +1,7 @@
 //===- tests/SupportTest.cpp - support/ unit tests ------------------------===//
 
+#include "support/CommandLine.h"
+#include "support/Json.h"
 #include "support/MathUtil.h"
 #include "support/Rng.h"
 #include "support/TablePrinter.h"
@@ -587,3 +589,57 @@ TEST(Persist, FaultSitesCoverBothArtifacts) {
 }
 
 #endif // THISTLE_FAULT_INJECTION_ENABLED
+
+TEST(CommandLine, ReadNumberTakesTheWholeArgument) {
+  EXPECT_EQ(cli::readNumber<unsigned>("42", 1).value(), 42u);
+  EXPECT_EQ(cli::readNumber<std::int64_t>("-7").value(), -7);
+  EXPECT_EQ(cli::readNumber<double>("2.5e3", 0.0).value(), 2500.0);
+  // Junk, trailing characters, empty text and a leading '+' are not
+  // numbers; neither is a non-finite double.
+  for (const char *Bad : {"abc", "2x", "", " 2", "2 ", "+2", "0x10", "1,2"})
+    EXPECT_FALSE(cli::readNumber<unsigned>(Bad).hasValue()) << Bad;
+  for (const char *Bad : {"inf", "nan", "1e", "2.5x"})
+    EXPECT_FALSE(cli::readNumber<double>(Bad).hasValue()) << Bad;
+  // A sign on an unsigned value is rejected, not wrapped.
+  Expected<unsigned> Neg = cli::readNumber<unsigned>("-1");
+  ASSERT_FALSE(Neg.hasValue());
+  EXPECT_NE(Neg.status().toString().find("negative"), std::string::npos);
+  // Overflow of the value type.
+  EXPECT_FALSE(cli::readNumber<std::uint64_t>("99999999999999999999")
+                   .hasValue());
+  EXPECT_FALSE(cli::readNumber<std::int64_t>("-9223372036854775809")
+                   .hasValue());
+  EXPECT_FALSE(cli::readNumber<double>("1e999").hasValue());
+  EXPECT_EQ(cli::readNumber<std::uint64_t>("18446744073709551615").value(),
+            18446744073709551615ull);
+  // The range is inclusive at both ends and named in the error.
+  EXPECT_EQ(cli::readNumber<int>("12", 1, 12).value(), 12);
+  Expected<int> Over = cli::readNumber<int>("13", 1, 12);
+  ASSERT_FALSE(Over.hasValue());
+  EXPECT_NE(Over.status().toString().find("1-12"), std::string::npos);
+  EXPECT_NE(cli::readNumber<int>("0", 1).status().toString().find(
+                "at least 1"),
+            std::string::npos);
+  EXPECT_FALSE(cli::readNumber<double>("-0.5", 0.0).hasValue());
+}
+
+TEST(CommandLine, SplitKeepsEmptyFields) {
+  std::vector<std::string_view> F = cli::split("1,,3", ',');
+  ASSERT_EQ(F.size(), 3u);
+  EXPECT_EQ(F[0], "1");
+  EXPECT_EQ(F[1], "");
+  EXPECT_EQ(F[2], "3");
+  EXPECT_EQ(cli::split("", '/').size(), 1u);
+}
+
+TEST(Json, AsUintRejectsNumbersThatDoNotFit) {
+  std::uint64_t N = 0;
+  EXPECT_TRUE(json::parseJson("9007199254740992").value().asUint(N));
+  EXPECT_EQ(N, 9007199254740992ull);
+  // 2^64 and above cannot be converted; neither can fractions or
+  // negative numbers.
+  for (const char *Bad :
+       {"18446744073709551616", "1e30", "2.5", "-1", "\"7\""}) {
+    EXPECT_FALSE(json::parseJson(Bad).value().asUint(N)) << Bad;
+  }
+}

@@ -12,6 +12,21 @@ TEST(Workloads, LayerCountsMatchTableII) {
   EXPECT_EQ(allPaperLayers().size(), 23u);
 }
 
+TEST(Workloads, NamedTablesResolve) {
+  EXPECT_EQ(networkLayers("resnet18").value().size(),
+            resnet18NetworkLayers().size());
+  EXPECT_EQ(networkLayers("all").value().size(),
+            allNetworkLayers().size());
+  EXPECT_EQ(networkLayers("dcgan").value().size(),
+            dcganNetworkLayers().size());
+  EXPECT_EQ(pipelineLayers("yolo").value().size(), 11u);
+  EXPECT_EQ(pipelineLayers("all").value().size(), 23u);
+  EXPECT_NE(networkLayers("vgg").status().toString().find(
+                "unknown network 'vgg'"),
+            std::string::npos);
+  EXPECT_FALSE(pipelineLayers("resnet18").hasValue());
+}
+
 TEST(Workloads, ResnetSpotChecks) {
   std::vector<ConvLayer> L = resnet18Layers();
   // Layer 1: K=64, C=3, H=W=224, R=S=7, stride 2.

@@ -1,14 +1,20 @@
 # Asserts a tool's --help text documents every user-facing contract:
-# every flag the parser accepts (scraped from the tool source, so a new
-# flag cannot land undocumented), the exit codes, and the doc pointers.
-# Invoked by ctest as:
-#   cmake -DTOOL=<thistle-opt> -DSOURCE=<thistle-opt.cpp> [-DMODE=serve]
-#         -P CheckUsage.cmake
+# every flag the parser accepts (scraped from the `{"--flag",` rows of
+# the tool's flag table, so a new flag cannot land undocumented), the
+# exit codes, and the doc pointers. Invoked by ctest as:
+#   cmake -DTOOL=<thistle-opt> -DSOURCE=<thistle-opt.cpp>
+#         [-DMODE=serve|query] -P CheckUsage.cmake
 # The default mode audits thistle-opt (docs/THISTLE_OPT.md mirrors its
-# usage text); MODE=serve audits the thistle-serve daemon against
-# docs/SERVING.md instead.
+# usage text); MODE=serve audits the thistle-serve daemon and
+# MODE=query the thistle-query client (both in docs/SERVING.md).
 
-if(MODE STREQUAL "serve")
+if(MODE STREQUAL "query")
+  set(PINNED
+      --port --port-file --request --file --parallel --strip-server --help)
+  set(EXIT_PAIRS "0  every request got a response" "1  a connection"
+      "2  invalid arguments")
+  set(DOC_POINTER "")
+elseif(MODE STREQUAL "serve")
   # Known-important flags, pinned explicitly so a parser-scrape
   # regression cannot silently weaken the audit.
   set(PINNED
@@ -44,19 +50,28 @@ foreach(FLAG ${PINNED})
   endif()
 endforeach()
 
-# Every flag the parser compares against (the `Arg == "--x"` chain in
-# the tool source) must appear in the usage table.
-if(SOURCE)
-  file(READ ${SOURCE} SRC)
-  string(REGEX MATCHALL "Arg == \"(--[a-z-]+)\"" PARSED "${SRC}")
-  foreach(MATCH ${PARSED})
-    string(REGEX REPLACE "Arg == \"(--[a-z-]+)\"" "\\1" FLAG "${MATCH}")
-    if(NOT OUT MATCHES "${FLAG}")
-      message(FATAL_ERROR
-        "--help: parsed flag ${FLAG} missing from usage\n${OUT}")
-    endif()
-  endforeach()
-endif()
+# Every flag the parser accepts (a `{"--x",` row of the flag table in
+# the tool source) must appear in the usage table, and the scrape must
+# find every pinned flag, so a change of row syntax cannot silently
+# empty the audit.
+file(READ ${SOURCE} SRC)
+string(REGEX MATCHALL "{\"--[a-z-]+\"," ROWS "${SRC}")
+set(PARSED "")
+foreach(ROW ${ROWS})
+  string(REGEX REPLACE "{\"(--[a-z-]+)\"," "\\1" FLAG "${ROW}")
+  list(APPEND PARSED ${FLAG})
+  if(NOT OUT MATCHES "  ${FLAG}[ \n]")
+    message(FATAL_ERROR
+      "--help: parsed flag ${FLAG} missing from usage\n${OUT}")
+  endif()
+endforeach()
+foreach(FLAG ${PINNED})
+  list(FIND PARSED ${FLAG} IDX)
+  if(IDX EQUAL -1)
+    message(FATAL_ERROR
+      "${SOURCE}: pinned flag ${FLAG} has no flag-table row")
+  endif()
+endforeach()
 
 if(NOT OUT MATCHES "exit codes:")
   message(FATAL_ERROR "--help: missing exit-code section\n${OUT}")
@@ -67,7 +82,7 @@ foreach(PAIR ${EXIT_PAIRS})
   endif()
 endforeach()
 
-if(NOT OUT MATCHES "${DOC_POINTER}")
+if(DOC_POINTER AND NOT OUT MATCHES "${DOC_POINTER}")
   message(FATAL_ERROR "--help: missing doc pointer ${DOC_POINTER}\n${OUT}")
 endif()
 

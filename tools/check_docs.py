@@ -11,10 +11,11 @@ Two checks, both cheap enough to run on every ctest invocation:
 
 2. Flag coverage: every command-line flag the thistle-opt,
    thistle-serve and thistle-query parsers accept — scraped from the
-   `Arg == "--x"` chains in their sources, the same convention
-   CheckUsage.cmake audits for the --help texts — must be mentioned in
+   `{"--x",` rows of their flag tables, the same rows CheckUsage.cmake
+   audits for the --help texts — must be mentioned in
    docs/THISTLE_OPT.md respectively docs/SERVING.md, so a new flag
-   cannot land undocumented.
+   cannot land undocumented. A source whose scrape finds no rows is an
+   error, so a change of row syntax cannot silently empty the audit.
 
 Usage: check_docs.py [--root REPO_ROOT]
 Exits 0 when clean, 1 with one `error:` line per problem otherwise.
@@ -28,8 +29,8 @@ import sys
 DOC_FILES = ("README.md", "DESIGN.md", "ROADMAP.md")
 DOC_DIRS = ("docs",)
 
-# (source file scraped for `Arg == "--x"`, document that must mention
-# every scraped flag)
+# (source file scraped for `{"--x",` flag-table rows, document that must
+# mention every scraped flag)
 FLAG_AUDITS = (
     (os.path.join("tools", "thistle-opt.cpp"),
      os.path.join("docs", "THISTLE_OPT.md")),
@@ -42,7 +43,7 @@ FLAG_AUDITS = (
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*$")
 FENCE_RE = re.compile(r"^(```|~~~)")
-ARG_RE = re.compile(r"Arg == \"(--[a-z-]+)\"")
+ROW_RE = re.compile(r"\{\"(--[a-z-]+)\",")
 
 
 def strip_code(text):
@@ -134,7 +135,9 @@ def check_flags(root):
             errors.append(f"{doc}: missing (flag audit for {source})")
             continue
         with open(src_path, encoding="utf-8") as f:
-            flags = sorted(set(ARG_RE.findall(f.read())))
+            flags = sorted(set(ROW_RE.findall(f.read())))
+        if not flags:
+            errors.append(f"{source}: no flag-table rows found")
         with open(doc_path, encoding="utf-8") as f:
             doc_text = f.read()
         for flag in flags:

@@ -19,6 +19,7 @@
 #include "multilevel/MultiGp.h"
 #include "nestmodel/CostEvaluator.h"
 #include "nestmodel/Mapper.h"
+#include "support/CommandLine.h"
 #include "support/FaultInjection.h"
 #include "support/Persist.h"
 #include "support/RunReport.h"
@@ -32,11 +33,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cctype>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -46,221 +44,23 @@ using namespace thistle;
 
 namespace {
 
-/// One row of the generated usage table. Every flag the parser accepts
-/// has exactly one row here; tool.usage (tools/CheckUsage.cmake) scrapes
-/// the flag comparisons out of this source file and fails if any of them
-/// is missing from the --help output, so a new flag cannot land without
-/// a row.
-struct FlagSpec {
-  const char *Flag; ///< "--layer".
-  const char *Arg;  ///< Value metavar, "" for boolean flags.
-  const char *Help; ///< Description; '\n' separates continuation lines.
-};
+/// What --help prints after the flag table.
+const char *const Epilogue =
+    "\nexit codes:\n"
+    "  0  success (clean sweep)\n"
+    "  1  partial/degraded: a design was found but some GP pairs were\n"
+    "     lost (solver failure, deadline), or a --network run found\n"
+    "     designs for only some layers\n"
+    "  2  invalid input (bad flags, malformed hierarchy file, bad spec)\n"
+    "  3  no feasible design found (--network: for any layer)\n";
 
-struct FlagGroup {
-  const char *Title;
-  const FlagSpec *Flags;
-  std::size_t Count;
-};
-
-const FlagSpec WorkloadFlags[] = {
-    {"--layer", "K,C,H,W,R,S[,stride[,dilation]]",
-     "custom conv2d layer; every field is\n"
-     "validated (positive strides/dilations,\n"
-     "divisible groups) before the sweep"},
-    {"--groups", "N",
-     "channel groups for --layer (K and C\n"
-     "must divide by N; N == C is a\n"
-     "depthwise layer; docs/WORKLOADS.md)"},
-    {"--transposed", "",
-     "make --layer a transposed\n"
-     "(fractionally-strided) conv: h/w walk\n"
-     "the input image and Out carries the\n"
-     "strided projection; output is the full\n"
-     "stride*(H-1)+dilation*(R-1)+1 extent"},
-    {"--padding", "same|valid",
-     "output-shape rule for --layer\n"
-     "(default: same, Table II's\n"
-     "ceil(H/stride); valid needs the\n"
-     "dilated kernel to fit)"},
-    {"--resnet", "N", "ResNet-18 conv stage N (1-12, Table II)"},
-    {"--yolo", "N", "Yolo-9000 conv stage N (1-11, Table II)"},
-    {"--pipeline", "resnet|yolo|all",
-     "optimize every stage, print a summary"},
-    {"--network", "resnet18|yolo9000|mobilenetv2|dcgan|all",
-     "optimize the full conv pipeline with the\n"
-     "network driver: repeated shapes are solved\n"
-     "once, GP solutions are cached across runs\n"
-     "(disable with THISTLE_CACHE=off), and in\n"
-     "codesign mode one architecture is selected\n"
-     "for the whole network (docs/THISTLE_OPT.md).\n"
-     "mobilenetv2 exercises depthwise/grouped\n"
-     "stages, dcgan transposed and dilated ones\n"
-     "(docs/WORKLOADS.md); all = resnet18+yolo9000"},
-};
-
-const FlagSpec OptimizationFlags[] = {
-    {"--mode", "dataflow|codesign", "(default: dataflow)"},
-    {"--objective", "energy|delay|edp", "(default: energy)"},
-    {"--candidates", "N", "rounding width n (default: 2)"},
-    {"--threads", "N",
-     "worker threads for the pair sweep\n"
-     "(default: all hardware threads;\n"
-     "results are identical at any N)"},
-    {"--deadline-ms", "N",
-     "wall-clock budget for the sweep;\n"
-     "pairs starting after it are skipped\n"
-     "and the best completed design is\n"
-     "returned (exit code 1)"},
-    {"--hierarchy", "classic3|spad4|<file>",
-     "memory hierarchy to optimize for\n"
-     "(default: classic3, the fixed\n"
-     "reg/SRAM/DRAM machine). spad4 adds\n"
-     "a per-PE scratchpad; a file holds\n"
-     "'pes/mac-pj/fanout/level' lines\n"
-     "(see docs/HIERARCHY.md). Non-classic\n"
-     "hierarchies run the L-level GP\n"
-     "optimizer and validate the winner\n"
-     "with the stochastic mapper."},
-    {"--evaluator", "nest|maestro|both",
-     "cost-model backend scoring the\n"
-     "candidates (default: nest, the\n"
-     "Algorithm-1 nest walk). maestro is\n"
-     "the data-centric reuse model; both\n"
-     "scores with nest while cross-checking\n"
-     "maestro on every evaluation and\n"
-     "reports any divergence — the counts\n"
-     "must agree exactly (docs/EVALUATOR.md)"},
-};
-
-const FlagSpec ArchitectureFlags[] = {
-    {"--pes", "N", "PE count (default: Eyeriss, 168)"},
-    {"--regs", "N", "register words per PE (default: 512)"},
-    {"--sram-words", "N", "shared SRAM words (default: 65536)"},
-    {"--area-budget", "UM2", "co-design area (default: Eyeriss)"},
-};
-
-const FlagSpec PersistenceFlags[] = {
-    {"--cache-dir", "DIR",
-     "durable GP solution cache: load any\n"
-     "snapshot/journal found in DIR, append\n"
-     "every new solution at task granularity\n"
-     "(survives SIGKILL), compact to a\n"
-     "snapshot on exit. Damaged files are\n"
-     "detected (CRC), reported and skipped —\n"
-     "the run degrades to a cold start.\n"
-     "THISTLE_CACHE_DIR is the env form;\n"
-     "the flag wins (docs/PERSISTENCE.md)"},
-    {"--resume", "DIR",
-     "alias of --cache-dir: rerun the same\n"
-     "command after a crash and completed\n"
-     "tasks replay from the checkpoint,\n"
-     "bit-identically to an uninterrupted run"},
-    {"--cache-capacity", "N",
-     "bound the in-memory cache to N entries\n"
-     "(LRU eviction; default 0 = unbounded)"},
-    {"--shard", "I/N",
-     "solve only slice I of N (1-based) of\n"
-     "the deterministic task-grid partition;\n"
-     "each shard checkpoints to its own\n"
-     "cache segment and report in DIR"},
-    {"--merge-shards", "",
-     "recombine the shard segments in DIR\n"
-     "into the full-network result, bit-\n"
-     "identical to a single-process run"},
-};
-
-const FlagSpec OutputFlags[] = {
-    {"--export-timeloop", "", "emit Timeloop-style YAML specs"},
-    {"--help", "", "print this usage table (also -h)"},
-};
-
-const FlagSpec ObservabilityFlags[] = {
-    {"--metrics", "",
-     "collect named counters/statistics\n"
-     "and print them after the run"},
-    {"--profile", "",
-     "additionally record trace spans and\n"
-     "print a per-span timing summary"},
-    {"--trace-json", "FILE",
-     "write the schema-versioned JSON run\n"
-     "report (thistle-run-report/1) with\n"
-     "the full span trace to FILE"},
-};
-
-const FlagGroup UsageGroups[] = {
-    {"workload (choose one):", WorkloadFlags, std::size(WorkloadFlags)},
-    {"optimization:", OptimizationFlags, std::size(OptimizationFlags)},
-    {"architecture (dataflow mode; defaults to Eyeriss):",
-     ArchitectureFlags, std::size(ArchitectureFlags)},
-    {"persistence (--network runs; see docs/PERSISTENCE.md):",
-     PersistenceFlags, std::size(PersistenceFlags)},
-    {"output:", OutputFlags, std::size(OutputFlags)},
-    {"observability (see docs/OBSERVABILITY.md; all off by default, and\n"
-     "the optimization result is bit-identical either way):",
-     ObservabilityFlags, std::size(ObservabilityFlags)},
-};
-
-void printUsage(const char *Prog) {
-  std::printf("usage: %s [options]\n", Prog);
-  constexpr std::size_t HelpColumn = 32;
-  for (const FlagGroup &Group : UsageGroups) {
-    std::printf("\n%s\n", Group.Title);
-    for (std::size_t F = 0; F < Group.Count; ++F) {
-      const FlagSpec &Spec = Group.Flags[F];
-      std::string Head = std::string("  ") + Spec.Flag;
-      if (Spec.Arg[0])
-        Head += std::string(" ") + Spec.Arg;
-      // Long heads get their own line; the help always starts at the
-      // same column so the table reads as a table.
-      bool HeadAlone = Head.size() + 2 > HelpColumn;
-      if (HeadAlone)
-        std::printf("%s\n", Head.c_str());
-      const char *Line = Spec.Help;
-      bool First = !HeadAlone;
-      while (*Line) {
-        const char *End = std::strchr(Line, '\n');
-        std::size_t Len = End ? static_cast<std::size_t>(End - Line)
-                              : std::strlen(Line);
-        if (First)
-          std::printf("%-*s%.*s\n", static_cast<int>(HelpColumn),
-                      Head.c_str(), static_cast<int>(Len), Line);
-        else
-          std::printf("%-*s%.*s\n", static_cast<int>(HelpColumn), "",
-                      static_cast<int>(Len), Line);
-        First = false;
-        Line += Len + (End ? 1 : 0);
-      }
-    }
-  }
-  std::printf(
-      "\nexit codes:\n"
-      "  0  success (clean sweep)\n"
-      "  1  partial/degraded: a design was found but some GP pairs were\n"
-      "     lost (solver failure, deadline), or a --network run found\n"
-      "     designs for only some layers\n"
-      "  2  invalid input (bad flags, malformed hierarchy file, bad spec)\n"
-      "  3  no feasible design found (--network: for any layer)\n");
-}
-
-/// Parses "a,b,c,..." into integers; returns false on malformed input.
-bool parseInts(const char *Text, std::vector<std::int64_t> &Out) {
-  Out.clear();
-  std::string Token;
-  for (const char *P = Text;; ++P) {
-    if (*P == ',' || *P == '\0') {
-      if (Token.empty())
-        return false;
-      Out.push_back(std::atoll(Token.c_str()));
-      Token.clear();
-      if (*P == '\0')
-        return true;
-    } else if (std::isdigit(static_cast<unsigned char>(*P))) {
-      Token += *P;
-    } else {
-      return false;
-    }
-  }
+/// Prints the "architecture:" line of a chosen design.
+void printArch(const ArchConfig &A, const TechParams &Tech) {
+  std::printf("architecture: P=%lld PEs, R=%lld regs/PE, S=%lld SRAM "
+              "words (area %.3f mm^2)\n",
+              static_cast<long long>(A.NumPEs),
+              static_cast<long long>(A.RegWordsPerPE),
+              static_cast<long long>(A.SramWords), A.areaUm2(Tech) * 1e-6);
 }
 
 /// Prints the failure-summary table of a degraded sweep and returns the
@@ -338,12 +138,7 @@ int runHierarchy(const Problem &Prob, const Hierarchy &H,
     std::fprintf(stderr, "no feasible design found\n");
     return 3;
   }
-  RR.Found = true;
-  RR.EnergyPj = R.Eval.EnergyPj;
-  RR.EnergyPerMacPj = R.Eval.EnergyPerMacPj;
-  RR.Cycles = R.Eval.Cycles;
-  RR.MacIpc = R.Eval.MacIpc;
-  RR.EdpPjCycles = R.Eval.EdpPjCycles;
+  RR.setResult(R.Eval);
 
   std::printf("\nenergy: %.1f uJ (%.3f pJ/MAC)\n", R.Eval.EnergyPj * 1e-6,
               R.Eval.EnergyPerMacPj);
@@ -543,44 +338,12 @@ int runNetwork(const std::vector<ConvLayer> &Layers,
     std::fprintf(stderr, "error: %s\n", R.InputStatus.toString().c_str());
     return 2;
   }
-  RR.HasSweep = true;
-  RR.SweepTaskNoun = "pair";
-  RR.Sweep = SweepReport(R.Report);
-  RR.Found = R.Found;
-  RR.Network.Present = true;
-  RR.Network.LayersTotal = R.Stats.LayersTotal;
-  RR.Network.LayersFound = R.LayersFound;
-  RR.Network.UniqueShapes = R.Stats.UniqueShapes;
-  RR.Network.CacheEnabled = UseCache;
-  RR.Network.CacheHits = R.Stats.CacheHits;
-  RR.Network.CacheMisses = R.Stats.CacheMisses;
-  RR.Network.CacheWarmStarts = R.Stats.CacheWarmStarts;
-  RR.Network.ArchCandidates = R.Stats.ArchCandidates;
-  RR.Network.SummedObjective = R.Totals.SummedObjective;
-  RR.Network.TotalEnergyPj = R.Totals.EnergyPj;
-  RR.Network.TotalCycles = R.Totals.Cycles;
-  RR.Network.TotalEdpPjCycles = R.Totals.EdpPjCycles;
-  RR.Network.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
-  RR.Network.Macs = static_cast<std::uint64_t>(R.Totals.Macs);
-  // The network totals double as the run's result block: the pipeline
-  // energy/delay on the selected architecture.
-  RR.EnergyPj = R.Totals.EnergyPj;
-  RR.EnergyPerMacPj = R.Totals.EnergyPerMacPj;
-  RR.Cycles = R.Totals.Cycles;
-  RR.EdpPjCycles = R.Totals.EdpPjCycles;
+  fillNetworkReport(R, UseCache, RR);
 
   std::printf("%-13s %10s %9s %9s %6s\n", "layer", "pJ/MAC", "IPC",
               "cycles(K)", "dedup");
   for (const NetworkLayerResult &L : R.Layers) {
-    RunReportNetworkLayer Row;
-    Row.Name = L.Name;
-    Row.ShapeIndex = L.ShapeIndex;
-    Row.Multiplicity = L.Multiplicity;
-    Row.Deduplicated = L.Deduplicated;
-    Row.Found = L.Result.Found;
     if (L.Result.Found) {
-      Row.EnergyPj = L.Result.Eval.EnergyPj;
-      Row.Cycles = L.Result.Eval.Cycles;
       std::printf("%-13s %10.2f %9.1f %9.0f %6s\n", L.Name.c_str(),
                   L.Result.Eval.EnergyPerMacPj, L.Result.Eval.MacIpc,
                   L.Result.Eval.Cycles * 1e-3,
@@ -589,19 +352,13 @@ int runNetwork(const std::vector<ConvLayer> &Layers,
       std::printf("%-13s %10s %9s %9s %6s\n", L.Name.c_str(), "-", "-",
                   "-", L.Deduplicated ? "=" : "");
     }
-    RR.Network.Layers.push_back(std::move(Row));
   }
   std::printf("network: %zu layers, %zu unique shapes",
               R.Stats.LayersTotal, R.Stats.UniqueShapes);
   if (R.Stats.ArchCandidates)
     std::printf(", %u arch candidate(s)", R.Stats.ArchCandidates);
   std::printf("\n");
-  std::printf("architecture: P=%lld PEs, R=%lld regs/PE, S=%lld SRAM "
-              "words (area %.3f mm^2)\n",
-              static_cast<long long>(R.Arch.NumPEs),
-              static_cast<long long>(R.Arch.RegWordsPerPE),
-              static_cast<long long>(R.Arch.SramWords),
-              R.Arch.areaUm2(Tech) * 1e-6);
+  printArch(R.Arch, Tech);
   std::string Partial;
   if (!R.Found)
     Partial = " (partial: " + std::to_string(R.LayersFound) + "/" +
@@ -634,11 +391,8 @@ int runNetwork(const std::vector<ConvLayer> &Layers,
                   "those tasks will re-solve after a crash\n",
                   static_cast<unsigned long long>(
                       Cache.journalAppendFailures()));
-    Cache.detachJournal();
-    if (Status St = Cache.saveSnapshotFile(SnapPath); St.isOk()) {
+    if (Status St = Cache.compact(SnapPath, JournalPath); St.isOk()) {
       RR.Persistence.SnapshotWritten = true;
-      if (JournalPath != SnapPath)
-        persist::removeFile(JournalPath);
       if (PC.Merge) {
         for (const std::string &F :
              persist::listFiles(PC.Dir, "shard-", ".snap"))
@@ -685,13 +439,14 @@ int main(int Argc, char **Argv) {
   }
   ConvLayer Layer;
   bool HaveLayer = false;
-  std::optional<std::int64_t> LayerGroups;
+  std::int64_t LayerGroups = 0; // 0 = not given.
   bool LayerTransposed = false;
   std::optional<ConvPadding> LayerPadding;
   std::vector<ConvLayer> Pipeline;
   std::vector<ConvLayer> Network;
   std::string NetworkName;
   ThistleOptions Options;
+  std::int64_t DeadlineMs = 0; // 0 = no deadline.
   ArchConfig Arch = eyerissArch();
   TechParams Tech = TechParams::cgo45nm();
   double AreaBudget = 0.0;
@@ -705,190 +460,212 @@ int main(int Argc, char **Argv) {
   PersistConfig PC;
   bool HaveCapacity = false;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto needValue = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
-        std::exit(2);
-      }
-      return Argv[++I];
+  // Custom conversions: --layer's dimension list, a Table II stage by
+  // index, --shard's I/N, and --cache-capacity, which also notes that
+  // it was given.
+  auto layerDims = [&](std::string_view Text) -> Status {
+    std::vector<std::int64_t> V;
+    for (std::string_view F : cli::split(Text, ','))
+      if (Status St = cli::store(V.emplace_back(),
+                                 cli::readNumber<std::int64_t>(F, 1));
+          !St.isOk())
+        return St;
+    HaveLayer = true;
+    return cli::store(Layer, customLayer(V));
+  };
+  auto stage = [&](std::vector<ConvLayer> (*Table)()) {
+    return [&, Table](std::string_view Text) -> Status {
+      std::vector<ConvLayer> Layers = Table();
+      std::size_t N = 0;
+      Status St = cli::store(
+          N, cli::readNumber<std::size_t>(Text, 1, Layers.size()));
+      if (St.isOk())
+        Layer = Layers[N - 1];
+      HaveLayer = true;
+      return St;
     };
-    if (Arg == "--help" || Arg == "-h") {
-      printUsage(Argv[0]);
-      return 0;
-    } else if (Arg == "--layer") {
-      std::vector<std::int64_t> V;
-      if (!parseInts(needValue(), V) || V.size() < 6 || V.size() > 8) {
-        std::fprintf(stderr, "error: --layer wants K,C,H,W,R,S[,stride"
-                             "[,dilation]]\n");
-        return 2;
-      }
-      Layer.Name = "custom";
-      Layer.K = V[0];
-      Layer.C = V[1];
-      Layer.Hin = V[2];
-      Layer.Win = V[3];
-      Layer.R = V[4];
-      Layer.S = V[5];
-      Layer.StrideX = Layer.StrideY = V.size() > 6 ? V[6] : 1;
-      Layer.DilationX = Layer.DilationY = V.size() > 7 ? V[7] : 1;
-      HaveLayer = true;
-    } else if (Arg == "--groups") {
-      std::vector<std::int64_t> V;
-      if (!parseInts(needValue(), V) || V.size() != 1) {
-        std::fprintf(stderr, "error: --groups wants one integer\n");
-        return 2;
-      }
-      LayerGroups = V[0];
-    } else if (Arg == "--transposed") {
-      LayerTransposed = true;
-    } else if (Arg == "--padding") {
-      Expected<ConvPadding> P = parsePadding(needValue());
-      if (!P) {
-        std::fprintf(stderr, "error: %s\n", P.status().toString().c_str());
-        return 2;
-      }
-      LayerPadding = P.value();
-    } else if (Arg == "--resnet" || Arg == "--yolo") {
-      std::vector<ConvLayer> Layers =
-          Arg == "--resnet" ? resnet18Layers() : yolo9000Layers();
-      long N = std::atol(needValue());
-      if (N < 1 || static_cast<std::size_t>(N) > Layers.size()) {
-        std::fprintf(stderr, "error: %s index out of range (1-%zu)\n",
-                     Arg.c_str(), Layers.size());
-        return 2;
-      }
-      Layer = Layers[static_cast<std::size_t>(N - 1)];
-      HaveLayer = true;
-    } else if (Arg == "--pipeline") {
-      std::string V = needValue();
-      if (V == "resnet")
-        Pipeline = resnet18Layers();
-      else if (V == "yolo")
-        Pipeline = yolo9000Layers();
-      else if (V == "all")
-        Pipeline = allPaperLayers();
-      else {
-        std::fprintf(stderr, "error: unknown pipeline '%s'\n", V.c_str());
-        return 2;
-      }
-      PipelineName = V;
-    } else if (Arg == "--network") {
-      std::string V = needValue();
-      if (V == "resnet18")
-        Network = resnet18NetworkLayers();
-      else if (V == "yolo9000")
-        Network = yolo9000NetworkLayers();
-      else if (V == "mobilenetv2")
-        Network = mobilenetV2NetworkLayers();
-      else if (V == "dcgan")
-        Network = dcganNetworkLayers();
-      else if (V == "all")
-        Network = allNetworkLayers();
-      else {
-        std::fprintf(stderr, "error: unknown network '%s'\n", V.c_str());
-        return 2;
-      }
-      NetworkName = V;
-    } else if (Arg == "--mode") {
-      std::string V = needValue();
-      if (V == "dataflow")
-        Options.Mode = DesignMode::DataflowOnly;
-      else if (V == "codesign")
-        Options.Mode = DesignMode::CoDesign;
-      else {
-        std::fprintf(stderr, "error: unknown mode '%s'\n", V.c_str());
-        return 2;
-      }
-    } else if (Arg == "--objective") {
-      std::string V = needValue();
-      if (V == "energy")
-        Options.Objective = SearchObjective::Energy;
-      else if (V == "delay")
-        Options.Objective = SearchObjective::Delay;
-      else if (V == "edp")
-        Options.Objective = SearchObjective::EnergyDelayProduct;
-      else {
-        std::fprintf(stderr, "error: unknown objective '%s'\n", V.c_str());
-        return 2;
-      }
-    } else if (Arg == "--candidates") {
-      Options.Rounding.NumCandidates =
-          static_cast<unsigned>(std::atoi(needValue()));
-    } else if (Arg == "--threads") {
-      Options.Threads = static_cast<unsigned>(std::atoi(needValue()));
-    } else if (Arg == "--deadline-ms") {
-      long Ms = std::atol(needValue());
-      if (Ms <= 0) {
-        std::fprintf(stderr, "error: --deadline-ms wants a positive "
-                             "millisecond count\n");
-        return 2;
-      }
-      Options.Deadline = std::chrono::milliseconds(Ms);
-    } else if (Arg == "--hierarchy") {
-      HierarchySpec = needValue();
-    } else if (Arg == "--evaluator") {
-      EvaluatorName = needValue();
-    } else if (Arg == "--pes") {
-      Arch.NumPEs = std::atoll(needValue());
-    } else if (Arg == "--regs") {
-      Arch.RegWordsPerPE = std::atoll(needValue());
-    } else if (Arg == "--sram-words") {
-      Arch.SramWords = std::atoll(needValue());
-    } else if (Arg == "--area-budget") {
-      AreaBudget = std::atof(needValue());
-    } else if (Arg == "--cache-dir" || Arg == "--resume") {
-      PC.Dir = needValue();
-      if (PC.Dir.empty()) {
-        std::fprintf(stderr, "error: %s wants a directory\n", Arg.c_str());
-        return 2;
-      }
-    } else if (Arg == "--cache-capacity") {
-      long long N = std::atoll(needValue());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --cache-capacity wants a "
-                             "non-negative entry count (0 = unbounded)\n");
-        return 2;
-      }
-      PC.Capacity = static_cast<std::uint64_t>(N);
-      HaveCapacity = true;
-    } else if (Arg == "--shard") {
-      std::string V = needValue();
-      std::size_t Slash = V.find('/');
-      long I = Slash == std::string::npos
-                   ? 0
-                   : std::atol(V.substr(0, Slash).c_str());
-      long N =
-          Slash == std::string::npos ? 0 : std::atol(V.c_str() + Slash + 1);
-      if (I < 1 || N < 1 || I > N) {
-        std::fprintf(stderr,
-                     "error: --shard wants I/N with 1 <= I <= N\n");
-        return 2;
-      }
-      PC.ShardIndex = static_cast<std::size_t>(I - 1);
-      PC.ShardCount = static_cast<std::size_t>(N);
-    } else if (Arg == "--merge-shards") {
-      PC.Merge = true;
-    } else if (Arg == "--export-timeloop") {
-      ExportTimeloop = true;
-    } else if (Arg == "--trace-json") {
-      TraceJsonPath = needValue();
-    } else if (Arg == "--metrics") {
-      WantMetrics = true;
-    } else if (Arg == "--profile") {
-      WantProfile = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      printUsage(Argv[0]);
-      return 2;
-    }
-  }
+  };
+  auto shard = [&](std::string_view Text) -> Status {
+    std::vector<std::string_view> Fields = cli::split(Text, '/');
+    if (Fields.size() != 2)
+      return Status::invalidArgument("wants I/N with 1 <= I <= N");
+    Expected<std::size_t> I = cli::readNumber<std::size_t>(Fields[0], 1);
+    Expected<std::size_t> N = cli::readNumber<std::size_t>(Fields[1], 1);
+    if (!I || !N)
+      return !I ? I.status() : N.status();
+    if (I.value() > N.value())
+      return Status::invalidArgument("wants I/N with 1 <= I <= N");
+    PC.ShardIndex = I.value() - 1;
+    PC.ShardCount = N.value();
+    return Status::ok();
+  };
+  auto capacity = [&](std::string_view Text) -> Status {
+    HaveCapacity = true;
+    return cli::store(PC.Capacity, cli::readNumber<std::uint64_t>(Text, 0));
+  };
+
+  // Every flag is one row: --help prints these rows and the parser
+  // accepts exactly these rows (tool.usage and docs.check audit both).
+  const cli::Usage Usage{
+      {{"workload (choose one):",
+        {{"--layer", "K,C,H,W,R,S[,stride[,dilation]]",
+          "custom conv2d layer; every field is\n"
+          "validated (positive strides/dilations,\n"
+          "divisible groups) before the sweep",
+          layerDims},
+         {"--groups", "N",
+          "channel groups for --layer (K and C\n"
+          "must divide by N; N == C is a\n"
+          "depthwise layer; docs/WORKLOADS.md)",
+          {LayerGroups, 1}},
+         {"--transposed", "",
+          "make --layer a transposed\n"
+          "(fractionally-strided) conv: h/w walk\n"
+          "the input image and Out carries the\n"
+          "strided projection; output is the full\n"
+          "stride*(H-1)+dilation*(R-1)+1 extent",
+          LayerTransposed},
+         {"--padding", "same|valid",
+          "output-shape rule for --layer\n"
+          "(default: same, Table II's\n"
+          "ceil(H/stride); valid needs the\n"
+          "dilated kernel to fit)",
+          {LayerPadding, parsePadding}},
+         {"--resnet", "N", "ResNet-18 conv stage N (1-12, Table II)",
+          stage(resnet18Layers)},
+         {"--yolo", "N", "Yolo-9000 conv stage N (1-11, Table II)",
+          stage(yolo9000Layers)},
+         {"--pipeline", "resnet|yolo|all",
+          "optimize every stage, print a summary",
+          [&](std::string_view Text) {
+            PipelineName = Text;
+            return cli::store(Pipeline, pipelineLayers(PipelineName));
+          }},
+         {"--network", "resnet18|yolo9000|mobilenetv2|dcgan|all",
+          "optimize the full conv pipeline with the\n"
+          "network driver: repeated shapes are solved\n"
+          "once, GP solutions are cached across runs\n"
+          "(disable with THISTLE_CACHE=off), and in\n"
+          "codesign mode one architecture is selected\n"
+          "for the whole network (docs/THISTLE_OPT.md).\n"
+          "mobilenetv2 exercises depthwise/grouped\n"
+          "stages, dcgan transposed and dilated ones\n"
+          "(docs/WORKLOADS.md); all = resnet18+yolo9000",
+          [&](std::string_view Text) {
+            NetworkName = Text;
+            return cli::store(Network, networkLayers(NetworkName));
+          }}}},
+       {"optimization:",
+        {{"--mode", "dataflow|codesign", "(default: dataflow)",
+          {Options.Mode, parseDesignMode}},
+         {"--objective", "energy|delay|edp", "(default: energy)",
+          {Options.Objective, parseObjective}},
+         {"--candidates", "N", "rounding width n (default: 2)",
+          {Options.Rounding.NumCandidates, 1}},
+         {"--threads", "N",
+          "worker threads for the pair sweep\n"
+          "(default: all hardware threads;\n"
+          "results are identical at any N)",
+          {Options.Threads, 0, ThreadPool::MaxWorkers}},
+         {"--deadline-ms", "N",
+          "wall-clock budget for the sweep;\n"
+          "pairs starting after it are skipped\n"
+          "and the best completed design is\n"
+          "returned (exit code 1)",
+          {DeadlineMs, 1, MaxDeadlineMs}},
+         {"--hierarchy", "classic3|spad4|<file>",
+          "memory hierarchy to optimize for\n"
+          "(default: classic3, the fixed\n"
+          "reg/SRAM/DRAM machine). spad4 adds\n"
+          "a per-PE scratchpad; a file holds\n"
+          "'pes/mac-pj/fanout/level' lines\n"
+          "(see docs/HIERARCHY.md). Non-classic\n"
+          "hierarchies run the L-level GP\n"
+          "optimizer and validate the winner\n"
+          "with the stochastic mapper.",
+          HierarchySpec},
+         {"--evaluator", "nest|maestro|both",
+          "cost-model backend scoring the\n"
+          "candidates (default: nest, the\n"
+          "Algorithm-1 nest walk). maestro is\n"
+          "the data-centric reuse model; both\n"
+          "scores with nest while cross-checking\n"
+          "maestro on every evaluation and\n"
+          "reports any divergence — the counts\n"
+          "must agree exactly (docs/EVALUATOR.md)",
+          EvaluatorName}}},
+       {"architecture (dataflow mode; defaults to Eyeriss):",
+        {{"--pes", "N", "PE count (default: Eyeriss, 168)",
+          {Arch.NumPEs, 1}},
+         {"--regs", "N", "register words per PE (default: 512)",
+          {Arch.RegWordsPerPE, 1}},
+         {"--sram-words", "N", "shared SRAM words (default: 65536)",
+          {Arch.SramWords, 1}},
+         {"--area-budget", "UM2", "co-design area (default: Eyeriss)",
+          {AreaBudget, 0.0, MaxAreaUm2}}}},
+       {"persistence (--network runs; see docs/PERSISTENCE.md):",
+        {{"--cache-dir", "DIR",
+          "durable GP solution cache: load any\n"
+          "snapshot/journal found in DIR, append\n"
+          "every new solution at task granularity\n"
+          "(survives SIGKILL), compact to a\n"
+          "snapshot on exit. Damaged files are\n"
+          "detected (CRC), reported and skipped —\n"
+          "the run degrades to a cold start.\n"
+          "THISTLE_CACHE_DIR is the env form;\n"
+          "the flag wins (docs/PERSISTENCE.md)",
+          PC.Dir},
+         {"--resume", "DIR",
+          "alias of --cache-dir: rerun the same\n"
+          "command after a crash and completed\n"
+          "tasks replay from the checkpoint,\n"
+          "bit-identically to an uninterrupted run",
+          PC.Dir},
+         {"--cache-capacity", "N",
+          "bound the in-memory cache to N entries\n"
+          "(LRU eviction; default 0 = unbounded)",
+          capacity},
+         {"--shard", "I/N",
+          "solve only slice I of N (1-based) of\n"
+          "the deterministic task-grid partition;\n"
+          "each shard checkpoints to its own\n"
+          "cache segment and report in DIR",
+          shard},
+         {"--merge-shards", "",
+          "recombine the shard segments in DIR\n"
+          "into the full-network result, bit-\n"
+          "identical to a single-process run",
+          PC.Merge}}},
+       {"output:",
+        {{"--export-timeloop", "", "emit Timeloop-style YAML specs",
+          ExportTimeloop},
+         {"--help", "", "print this usage table (also -h)",
+          cli::Target::help()}}},
+       {"observability (see docs/OBSERVABILITY.md; all off by default, and\n"
+        "the optimization result is bit-identical either way):",
+        {{"--metrics", "",
+          "collect named counters/statistics\n"
+          "and print them after the run",
+          WantMetrics},
+         {"--profile", "",
+          "additionally record trace spans and\n"
+          "print a per-span timing summary",
+          WantProfile},
+         {"--trace-json", "FILE",
+          "write the schema-versioned JSON run\n"
+          "report (thistle-run-report/1) with\n"
+          "the full span trace to FILE",
+          TraceJsonPath}}}},
+      Epilogue};
+  if (std::optional<int> Exit = cli::parseArgs(Argc, Argv, Usage))
+    return *Exit;
+  if (DeadlineMs)
+    Options.Deadline = std::chrono::milliseconds(DeadlineMs);
 
   if (!HaveLayer && Pipeline.empty() && Network.empty()) {
     std::fprintf(stderr, "error: no workload given (--layer / --resnet / "
                          "--yolo / --pipeline / --network)\n");
-    printUsage(Argv[0]);
+    cli::printUsage(Argv[0], Usage);
     return 2;
   }
   if (!Network.empty() && (HaveLayer || !Pipeline.empty())) {
@@ -904,7 +681,7 @@ int main(int Argc, char **Argv) {
   }
   if (HaveLayer) {
     if (LayerGroups)
-      Layer.Groups = *LayerGroups;
+      Layer.Groups = LayerGroups;
     Layer.Transposed = LayerTransposed;
     if (LayerPadding)
       Layer.Padding = *LayerPadding;
@@ -960,11 +737,8 @@ int main(int Argc, char **Argv) {
   RR.Workload = !Network.empty()    ? "network:" + NetworkName
                 : !Pipeline.empty() ? "pipeline:" + PipelineName
                                     : Layer.Name;
-  RR.Mode =
-      Options.Mode == DesignMode::CoDesign ? "codesign" : "dataflow";
-  RR.Objective = Options.Objective == SearchObjective::Energy  ? "energy"
-                 : Options.Objective == SearchObjective::Delay ? "delay"
-                                                               : "edp";
+  RR.Mode = designModeName(Options.Mode);
+  RR.Objective = objectiveName(Options.Objective);
   RR.Hierarchy = HierarchySpec;
   RR.Evaluator.Backend = EvaluatorName;
   RR.Evaluator.CrossCheck = CrossCheck.has_value();
@@ -1024,11 +798,12 @@ int main(int Argc, char **Argv) {
     return Exit;
   };
 
+  if ((!Network.empty() || !Pipeline.empty()) &&
+      HierarchySpec != "classic3") {
+    std::fprintf(stderr, "error: --hierarchy works on a single layer\n");
+    return finish(2);
+  }
   if (!Network.empty()) {
-    if (HierarchySpec != "classic3") {
-      std::fprintf(stderr, "error: --hierarchy works on a single layer\n");
-      return finish(2);
-    }
     // The GP solution cache is on by default; THISTLE_CACHE=off (or 0)
     // disables it. The optimization result is bit-identical either way
     // (the cache replays recorded outcomes; warm starts only run where
@@ -1059,14 +834,9 @@ int main(int Argc, char **Argv) {
                              UseCache, PC, RR));
   }
 
-  if (!Pipeline.empty()) {
-    if (HierarchySpec != "classic3") {
-      std::fprintf(stderr, "error: --hierarchy works on a single layer\n");
-      return finish(2);
-    }
+  if (!Pipeline.empty())
     return finish(
         runPipeline(Pipeline, Options, Arch, Tech, AreaBudget, RR));
-  }
 
   Problem Prob = makeConvProblem(Layer);
   std::printf("layer %s (%s): %lld MACs, iteration space",
@@ -1119,19 +889,10 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "no feasible design found\n");
     return finish(3);
   }
-  RR.Found = true;
-  RR.EnergyPj = R.Eval.EnergyPj;
-  RR.EnergyPerMacPj = R.Eval.EnergyPerMacPj;
-  RR.Cycles = R.Eval.Cycles;
-  RR.MacIpc = R.Eval.MacIpc;
-  RR.EdpPjCycles = R.Eval.EdpPjCycles;
+  RR.setResult(R.Eval);
 
-  std::printf("\narchitecture: P=%lld PEs, R=%lld regs/PE, S=%lld SRAM "
-              "words (area %.3f mm^2)\n",
-              static_cast<long long>(R.Arch.NumPEs),
-              static_cast<long long>(R.Arch.RegWordsPerPE),
-              static_cast<long long>(R.Arch.SramWords),
-              R.Arch.areaUm2(Tech) * 1e-6);
+  std::printf("\n");
+  printArch(R.Arch, Tech);
   std::printf("energy: %.1f uJ (%.3f pJ/MAC)\n", R.Eval.EnergyPj * 1e-6,
               R.Eval.EnergyPerMacPj);
   std::printf("delay:  %.0f cycles (IPC %.1f), EDP %.4g pJ*cycles\n",

@@ -15,15 +15,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/CommandLine.h"
 #include "support/LineSocket.h"
 
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,33 +32,11 @@ using namespace thistle;
 
 namespace {
 
-void printUsage(const char *Prog) {
-  std::printf(
-      "usage: %s [options]\n"
-      "\nconnection (one of):\n"
-      "  --port N                      daemon port on 127.0.0.1\n"
-      "  --port-file FILE              read the port from FILE (as\n"
-      "                                written by thistle-serve\n"
-      "                                --port-file)\n"
-      "\nrequests (any mix; sent in order):\n"
-      "  --request JSON                one request line (repeatable)\n"
-      "  --file FILE                   one request per line ('-' =\n"
-      "                                stdin; blank lines skipped)\n"
-      "\nbehavior:\n"
-      "  --parallel                    one connection per request, all\n"
-      "                                fired concurrently after a start\n"
-      "                                barrier (default: one connection,\n"
-      "                                sequential); responses still\n"
-      "                                print in request order\n"
-      "  --strip-server                print each response without its\n"
-      "                                trailing \"server\" section, so\n"
-      "                                equal queries compare equal\n"
-      "  --help                        print this usage (also -h)\n"
-      "\nexit codes:\n"
-      "  0  every request got a response\n"
-      "  1  a connection or transport failure\n"
-      "  2  invalid arguments\n");
-}
+/// What --help prints after the flag table.
+const char *const Epilogue = "\nexit codes:\n"
+                             "  0  every request got a response\n"
+                             "  1  a connection or transport failure\n"
+                             "  2  invalid arguments\n";
 
 /// Cuts the response at its `server` section — the only part that is
 /// not a pure function of the query — and restores the closing brace.
@@ -90,71 +68,81 @@ struct Barrier {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  long Port = -1;
+  std::uint16_t Port = 0; // 0 = not given.
   std::string PortFile;
   std::vector<std::string> Requests;
   bool Parallel = false;
   bool StripServer = false;
 
-  auto loadFile = [&](const std::string &Path) -> bool {
+  auto request = [&](std::string_view Line) {
+    Requests.emplace_back(Line);
+    return Status::ok();
+  };
+  auto loadFile = [&](std::string_view Path) {
     std::ifstream FileIn;
     std::istream *In = &std::cin;
     if (Path != "-") {
-      FileIn.open(Path);
-      if (!FileIn) {
-        std::fprintf(stderr, "error: cannot read '%s'\n", Path.c_str());
-        return false;
-      }
+      FileIn.open(std::string(Path));
+      if (!FileIn)
+        return Status::invalidArgument("cannot read '" + std::string(Path) +
+                                       "'");
       In = &FileIn;
     }
     std::string Line;
     while (std::getline(*In, Line))
       if (!Line.empty())
         Requests.push_back(Line);
-    return true;
+    return Status::ok();
   };
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto needValue = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
-        std::exit(2);
-      }
-      return Argv[++I];
-    };
-    if (Arg == "--help" || Arg == "-h") {
-      printUsage(Argv[0]);
-      return 0;
-    } else if (Arg == "--port") {
-      Port = std::atol(needValue());
-    } else if (Arg == "--port-file") {
-      PortFile = needValue();
-    } else if (Arg == "--request") {
-      Requests.push_back(needValue());
-    } else if (Arg == "--file") {
-      if (!loadFile(needValue()))
-        return 2;
-    } else if (Arg == "--parallel") {
-      Parallel = true;
-    } else if (Arg == "--strip-server") {
-      StripServer = true;
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      printUsage(Argv[0]);
-      return 2;
-    }
-  }
+  // Every flag is one row: --help prints these rows and the parser
+  // accepts exactly these rows (tool.query_usage and docs.check audit
+  // both).
+  const cli::Usage Usage{
+      {{"connection (one of):",
+        {{"--port", "N", "daemon port on 127.0.0.1", {Port, 1, 65535}},
+         {"--port-file", "FILE",
+          "read the port from FILE (as\n"
+          "written by thistle-serve\n"
+          "--port-file)",
+          PortFile}}},
+       {"requests (any mix; sent in order):",
+        {{"--request", "JSON", "one request line (repeatable)", request},
+         {"--file", "FILE",
+          "one request per line ('-' =\n"
+          "stdin; blank lines skipped)",
+          loadFile}}},
+       {"behavior:",
+        {{"--parallel", "",
+          "one connection per request, all\n"
+          "fired concurrently after a start\n"
+          "barrier (default: one connection,\n"
+          "sequential); responses still\n"
+          "print in request order",
+          Parallel},
+         {"--strip-server", "",
+          "print each response without its\n"
+          "trailing \"server\" section, so\n"
+          "equal queries compare equal",
+          StripServer},
+         {"--help", "", "print this usage (also -h)",
+          cli::Target::help()}}}},
+      Epilogue};
+  if (std::optional<int> Exit = cli::parseArgs(Argc, Argv, Usage))
+    return *Exit;
 
   if (!PortFile.empty()) {
     std::ifstream In(PortFile);
-    if (!(In >> Port)) {
-      std::fprintf(stderr, "error: cannot read port from '%s'\n",
-                   PortFile.c_str());
+    std::string Token;
+    In >> Token;
+    if (Status St = cli::store(Port, cli::readNumber<std::uint16_t>(Token, 1));
+        !St.isOk()) {
+      std::fprintf(stderr, "error: cannot read port from '%s': %s\n",
+                   PortFile.c_str(), St.toString().c_str());
       return 2;
     }
   }
-  if (Port < 1 || Port > 65535) {
+  if (Port == 0) {
     std::fprintf(stderr, "error: need --port or --port-file\n");
     return 2;
   }
@@ -168,7 +156,7 @@ int main(int Argc, char **Argv) {
 
   if (!Parallel) {
     Expected<net::LineConnection> Conn =
-        net::connectLoopback(static_cast<std::uint16_t>(Port));
+        net::connectLoopback(Port);
     if (!Conn) {
       std::fprintf(stderr, "error: %s\n",
                    Conn.status().toString().c_str());
@@ -194,7 +182,7 @@ int main(int Argc, char **Argv) {
     std::vector<net::LineConnection> Conns(Requests.size());
     for (std::size_t I = 0; I < Requests.size(); ++I) {
       Expected<net::LineConnection> Conn =
-          net::connectLoopback(static_cast<std::uint16_t>(Port));
+          net::connectLoopback(Port);
       if (!Conn) {
         std::fprintf(stderr, "error: %s\n",
                      Conn.status().toString().c_str());

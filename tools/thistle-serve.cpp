@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/CommandLine.h"
 #include "support/LineSocket.h"
 #include "support/RunReport.h"
 #include "support/Telemetry.h"
@@ -26,11 +27,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,116 +39,16 @@ using namespace thistle;
 
 namespace {
 
-/// One row of the generated usage table; every flag the parser accepts
-/// has exactly one row here. tools/check_docs.py scrapes the flag
-/// comparisons out of this source file and fails if any of them is
-/// missing from docs/SERVING.md, so a new flag cannot land
-/// undocumented.
-struct FlagSpec {
-  const char *Flag; ///< "--port".
-  const char *Arg;  ///< Value metavar, "" for boolean flags.
-  const char *Help; ///< Description; '\n' separates continuation lines.
-};
-
-struct FlagGroup {
-  const char *Title;
-  const FlagSpec *Flags;
-  std::size_t Count;
-};
-
-const FlagSpec ServerFlags[] = {
-    {"--port", "N",
-     "TCP port to listen on (loopback only;\n"
-     "default 0 = kernel-assigned ephemeral\n"
-     "port, printed on startup)"},
-    {"--port-file", "FILE",
-     "write the bound port number to FILE\n"
-     "once listening (how scripts find an\n"
-     "ephemeral port)"},
-    {"--max-clients", "N",
-     "concurrent connection cap; further\n"
-     "connects get an error response and\n"
-     "are closed (default: 64)"},
-    {"--threads", "N",
-     "worker threads shared by the solves\n"
-     "(default: all hardware threads;\n"
-     "responses are identical at any N)"},
-};
-
-const FlagSpec PersistenceFlags[] = {
-    {"--cache-dir", "DIR",
-     "durable GP solution cache: load any\n"
-     "snapshot/journal found in DIR, append\n"
-     "every new solution at task granularity\n"
-     "(survives SIGKILL), compact to a\n"
-     "snapshot on shutdown. Shared with\n"
-     "thistle-opt --cache-dir: a sweep's\n"
-     "solutions serve the daemon and vice\n"
-     "versa (docs/PERSISTENCE.md)"},
-    {"--cache-capacity", "N",
-     "bound the in-memory cache to N entries\n"
-     "(LRU eviction; default 0 = unbounded)"},
-    {"--snapshot-every", "N",
-     "also compact the journal into a fresh\n"
-     "snapshot every N solves (default 0 =\n"
-     "only at shutdown)"},
-};
-
-const FlagSpec OutputFlags[] = {
-    {"--trace-json", "FILE",
-     "write the daemon's shutdown run report\n"
-     "(thistle-run-report/1 with the serve\n"
-     "section) to FILE"},
-    {"--help", "", "print this usage table (also -h)"},
-};
-
-const FlagGroup UsageGroups[] = {
-    {"server:", ServerFlags, std::size(ServerFlags)},
-    {"persistence (see docs/PERSISTENCE.md):", PersistenceFlags,
-     std::size(PersistenceFlags)},
-    {"output:", OutputFlags, std::size(OutputFlags)},
-};
-
-void printUsage(const char *Prog) {
-  std::printf("usage: %s [options]\n", Prog);
-  constexpr std::size_t HelpColumn = 32;
-  for (const FlagGroup &Group : UsageGroups) {
-    std::printf("\n%s\n", Group.Title);
-    for (std::size_t F = 0; F < Group.Count; ++F) {
-      const FlagSpec &Spec = Group.Flags[F];
-      std::string Head = std::string("  ") + Spec.Flag;
-      if (Spec.Arg[0])
-        Head += std::string(" ") + Spec.Arg;
-      bool HeadAlone = Head.size() + 2 > HelpColumn;
-      if (HeadAlone)
-        std::printf("%s\n", Head.c_str());
-      const char *Line = Spec.Help;
-      bool First = !HeadAlone;
-      while (*Line) {
-        const char *End = std::strchr(Line, '\n');
-        std::size_t Len = End ? static_cast<std::size_t>(End - Line)
-                              : std::strlen(Line);
-        if (First)
-          std::printf("%-*s%.*s\n", static_cast<int>(HelpColumn),
-                      Head.c_str(), static_cast<int>(Len), Line);
-        else
-          std::printf("%-*s%.*s\n", static_cast<int>(HelpColumn), "",
-                      static_cast<int>(Len), Line);
-        First = false;
-        Line += Len + (End ? 1 : 0);
-      }
-    }
-  }
-  std::printf(
-      "\nrequests are newline-delimited thistle-serve/1 JSON documents\n"
-      "(docs/SERVING.md); the daemon exits on SIGINT/SIGTERM or a\n"
-      "{\"cmd\":\"shutdown\"} request, compacting the cache journal on the\n"
-      "way out.\n"
-      "\nexit codes:\n"
-      "  0  clean shutdown (signal or shutdown request)\n"
-      "  2  invalid arguments or the listener/cache-dir could not be\n"
-      "     set up\n");
-}
+/// What --help prints after the flag table.
+const char *const Epilogue =
+    "\nrequests are newline-delimited thistle-serve/1 JSON documents\n"
+    "(docs/SERVING.md); the daemon exits on SIGINT/SIGTERM or a\n"
+    "{\"cmd\":\"shutdown\"} request, compacting the cache journal on the\n"
+    "way out.\n"
+    "\nexit codes:\n"
+    "  0  clean shutdown (signal or shutdown request)\n"
+    "  2  invalid arguments or the listener/cache-dir could not be\n"
+    "     set up\n";
 
 std::atomic<bool> SignalSeen{false};
 
@@ -205,68 +105,62 @@ int main(int Argc, char **Argv) {
   unsigned MaxClients = 64;
   ServeOptions SO;
 
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    auto needValue = [&]() -> const char * {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: %s needs a value\n", Arg.c_str());
-        std::exit(2);
-      }
-      return Argv[++I];
-    };
-    if (Arg == "--help" || Arg == "-h") {
-      printUsage(Argv[0]);
-      return 0;
-    } else if (Arg == "--port") {
-      long N = std::atol(needValue());
-      if (N < 0 || N > 65535) {
-        std::fprintf(stderr, "error: --port wants 0-65535\n");
-        return 2;
-      }
-      Port = static_cast<std::uint16_t>(N);
-    } else if (Arg == "--port-file") {
-      PortFile = needValue();
-    } else if (Arg == "--max-clients") {
-      long N = std::atol(needValue());
-      if (N < 1) {
-        std::fprintf(stderr,
-                     "error: --max-clients wants a positive count\n");
-        return 2;
-      }
-      MaxClients = static_cast<unsigned>(N);
-    } else if (Arg == "--threads") {
-      SO.Threads = static_cast<unsigned>(std::atoi(needValue()));
-    } else if (Arg == "--cache-dir") {
-      SO.CacheDir = needValue();
-      if (SO.CacheDir.empty()) {
-        std::fprintf(stderr, "error: --cache-dir wants a directory\n");
-        return 2;
-      }
-    } else if (Arg == "--cache-capacity") {
-      long long N = std::atoll(needValue());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --cache-capacity wants a "
-                             "non-negative entry count (0 = unbounded)\n");
-        return 2;
-      }
-      SO.CacheCapacity = static_cast<std::uint64_t>(N);
-    } else if (Arg == "--snapshot-every") {
-      long N = std::atol(needValue());
-      if (N < 0) {
-        std::fprintf(stderr, "error: --snapshot-every wants a "
-                             "non-negative solve count (0 = only at "
-                             "shutdown)\n");
-        return 2;
-      }
-      SO.SnapshotEvery = static_cast<unsigned>(N);
-    } else if (Arg == "--trace-json") {
-      TraceJsonPath = needValue();
-    } else {
-      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
-      printUsage(Argv[0]);
-      return 2;
-    }
-  }
+  // Every flag is one row: --help prints these rows and the parser
+  // accepts exactly these rows (tool.serve_usage and docs.check audit
+  // both).
+  const cli::Usage Usage{
+      {{"server:",
+        {{"--port", "N",
+          "TCP port to listen on (loopback only;\n"
+          "default 0 = kernel-assigned ephemeral\n"
+          "port, printed on startup)",
+          {Port, 0, 65535}},
+         {"--port-file", "FILE",
+          "write the bound port number to FILE\n"
+          "once listening (how scripts find an\n"
+          "ephemeral port)",
+          PortFile},
+         {"--max-clients", "N",
+          "concurrent connection cap; further\n"
+          "connects get an error response and\n"
+          "are closed (default: 64)",
+          {MaxClients, 1}},
+         {"--threads", "N",
+          "worker threads shared by the solves\n"
+          "(default: all hardware threads;\n"
+          "responses are identical at any N)",
+          {SO.Threads, 0, ThreadPool::MaxWorkers}}}},
+       {"persistence (see docs/PERSISTENCE.md):",
+        {{"--cache-dir", "DIR",
+          "durable GP solution cache: load any\n"
+          "snapshot/journal found in DIR, append\n"
+          "every new solution at task granularity\n"
+          "(survives SIGKILL), compact to a\n"
+          "snapshot on shutdown. Shared with\n"
+          "thistle-opt --cache-dir: a sweep's\n"
+          "solutions serve the daemon and vice\n"
+          "versa (docs/PERSISTENCE.md)",
+          SO.CacheDir},
+         {"--cache-capacity", "N",
+          "bound the in-memory cache to N entries\n"
+          "(LRU eviction; default 0 = unbounded)",
+          {SO.CacheCapacity, 0}},
+         {"--snapshot-every", "N",
+          "also compact the journal into a fresh\n"
+          "snapshot every N solves (default 0 =\n"
+          "only at shutdown)",
+          {SO.SnapshotEvery, 0}}}},
+       {"output:",
+        {{"--trace-json", "FILE",
+          "write the daemon's shutdown run report\n"
+          "(thistle-run-report/1 with the serve\n"
+          "section) to FILE",
+          TraceJsonPath},
+         {"--help", "", "print this usage table (also -h)",
+          cli::Target::help()}}}},
+      Epilogue};
+  if (std::optional<int> Exit = cli::parseArgs(Argc, Argv, Usage))
+    return *Exit;
 
   // The run report carries the full telemetry snapshot, exactly as
   // thistle-opt --trace-json does.
