@@ -2,18 +2,26 @@
 //
 // Measures the interior-point GP solver that replaces CVXPY: per-layer
 // solve statistics (variables, constraints, Newton iterations, wall time)
-// for one representative permutation class, and google-benchmark timings
-// across solver tolerances.
+// for one representative permutation class, google-benchmark timings
+// across solver tolerances, and a speed record of the two layer runs
+// dominated by infeasible solves, written to BENCH_solver.json in the
+// working directory. The committed copy of that file also carries a
+// "before" block: the same measurements on the tree before phase I
+// certified infeasibility.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
 #include "support/TablePrinter.h"
+#include "support/Telemetry.h"
 #include "thistle/PermutationSpace.h"
 
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <iostream>
+#include <string>
 
 using namespace thistle;
 using namespace thistle::bench;
@@ -66,6 +74,118 @@ void printSolverTable() {
   std::printf("\n");
 }
 
+/// One layer run of the speed record.
+struct SolverRecord {
+  const char *Name = nullptr;
+  double Seconds = 0.0; ///< Min-of-N wall time, telemetry off.
+  std::uint64_t Solves = 0, Infeasible = 0, Certified = 0;
+  std::uint64_t NewtonSteps = 0, NewtonInfeasible = 0;
+};
+
+constexpr unsigned RecordReps = 3;
+
+/// Times \p Run (telemetry off), then repeats it once traced to count
+/// solves by outcome: every solver.attempt span is one solveGp call and
+/// carries "<outcome> newton=N".
+template <typename RunFn> SolverRecord measureRecord(const char *Name,
+                                                      RunFn &&Run) {
+  SolverRecord Rec{Name};
+  Rec.Seconds = minSecondsOfN(RecordReps, Run);
+  if (!telemetry::compiledIn())
+    return Rec;
+  telemetry::reset();
+  telemetry::setLevel(telemetry::Level::Trace);
+  Run();
+  telemetry::Snapshot Snap = telemetry::snapshot();
+  telemetry::setLevel(telemetry::Level::Off);
+  telemetry::reset();
+  for (const telemetry::CounterValue &C : Snap.Counters)
+    if (C.Name == "solver.phase1.certified")
+      Rec.Certified = C.Value;
+  const std::string Infeasible = "infeasible newton=";
+  for (const telemetry::Span &S : Snap.Spans) {
+    if (S.Name != "solver.attempt")
+      continue;
+    std::uint64_t Newton =
+        std::strtoull(S.Detail.c_str() + S.Detail.find('=') + 1, nullptr, 10);
+    ++Rec.Solves;
+    Rec.NewtonSteps += Newton;
+    if (S.Detail.compare(0, Infeasible.size(), Infeasible) == 0) {
+      ++Rec.Infeasible;
+      Rec.NewtonInfeasible += Newton;
+    }
+  }
+  return Rec;
+}
+
+/// The ResNet-18 network co-design's phase-2 candidate arch on resnet-1
+/// (every tight GP infeasible, its fallback feasible), and resnet-5
+/// co-design under the Eyeriss area.
+void writeSolverRecord(const char *Path) {
+  const TechParams Tech = TechParams::cgo45nm();
+  ArchConfig Fixed = eyerissArch();
+  Fixed.NumPEs = 1178;
+  Fixed.RegWordsPerPE = 8;
+  Fixed.SramWords = 65536;
+  Problem R1 = makeConvProblem(resnet18Layers()[0]);
+  Problem R5 = makeConvProblem(resnet18Layers()[4]);
+  ThistleOptions CoDesign;
+  CoDesign.Mode = DesignMode::CoDesign;
+  const SolverRecord Records[] = {
+      measureRecord("resnet1_fixed_arch",
+                    [&] {
+                      benchmark::DoNotOptimize(optimizeLayer(
+                          R1, Fixed, Tech, ThistleOptions()));
+                    }),
+      measureRecord("resnet5_codesign", [&] {
+        benchmark::DoNotOptimize(optimizeLayer(R5, eyerissArch(), Tech,
+                                               CoDesign,
+                                               eyerissAreaUm2(Tech)));
+      })};
+
+  std::FILE *F = std::fopen(Path, "w");
+  if (!F) {
+    std::fprintf(stderr, "cannot write %s\n", Path);
+    return;
+  }
+  std::fprintf(F,
+               "{\n"
+               "  \"bench\": \"ablation_solver\",\n"
+               "  \"hardware_concurrency\": %u,\n"
+               "  \"timing\": \"min_of_%u\",\n"
+               "  \"runs\": {\n",
+               ThreadPool::defaultWorkerCount(), RecordReps);
+  for (std::size_t I = 0; I < std::size(Records); ++I) {
+    const SolverRecord &R = Records[I];
+    std::fprintf(F,
+                 "    \"%s\": {\n"
+                 "      \"seconds\": %.4f,\n"
+                 "      \"solves\": %llu,\n"
+                 "      \"infeasible\": %llu,\n"
+                 "      \"certified\": %llu,\n"
+                 "      \"newton_steps\": %llu,\n"
+                 "      \"newton_per_infeasible\": %.1f\n"
+                 "    }%s\n",
+                 R.Name, R.Seconds, static_cast<unsigned long long>(R.Solves),
+                 static_cast<unsigned long long>(R.Infeasible),
+                 static_cast<unsigned long long>(R.Certified),
+                 static_cast<unsigned long long>(R.NewtonSteps),
+                 R.Infeasible ? static_cast<double>(R.NewtonInfeasible) /
+                                    static_cast<double>(R.Infeasible)
+                              : 0.0,
+                 I + 1 < std::size(Records) ? "," : "");
+    std::printf("%-20s %8.4f s  %llu solves, %llu infeasible (%llu "
+                "certified), %llu Newton steps\n",
+                R.Name, R.Seconds, static_cast<unsigned long long>(R.Solves),
+                static_cast<unsigned long long>(R.Infeasible),
+                static_cast<unsigned long long>(R.Certified),
+                static_cast<unsigned long long>(R.NewtonSteps));
+  }
+  std::fprintf(F, "  }\n}\n");
+  std::fclose(F);
+  std::printf("\nwrote %s\n\n", Path);
+}
+
 void timeGpSolveTolerance(benchmark::State &State) {
   Problem P = makeConvProblem(resnet18Layers()[1]);
   GpBuildSpec Spec = specForLayer(P, DesignMode::CoDesign);
@@ -93,5 +213,6 @@ int main(int Argc, char **Argv) {
               "Interior-point solver statistics per layer (the CVXPY "
               "replacement)");
   printSolverTable();
+  writeSolverRecord("BENCH_solver.json");
   return runTimings(Argc, Argv);
 }

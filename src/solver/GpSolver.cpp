@@ -260,7 +260,10 @@ private:
 
 /// Damped-Newton minimization of the barrier objective at fixed T.
 /// Returns false on numerical breakdown. \p EarlyExit, when non-null,
-/// stops as soon as it returns true (used by phase one once s < 0).
+/// stops as soon as it returns true (used by phase one once s < -1e-7).
+/// \p Centred is set only when the loop stopped on its Newton-decrement
+/// test; an early exit, a stalled line search or the iteration cap
+/// leave it false.
 ///
 /// The regularization ladder (12 rungs lambda = 1e-10 * 100^r) runs four
 /// rungs per lane-batched Cholesky call: the Hessian is broadcast into
@@ -271,7 +274,9 @@ private:
 /// resolved in one or two calls instead of up to twelve).
 bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
                   unsigned MaxIters, unsigned &IterCounter,
-                  bool (*EarlyExit)(const Vector &), SolverScratch &S) {
+                  bool (*EarlyExit)(const Vector &), SolverScratch &S,
+                  bool &Centred) {
+  Centred = false;
   for (unsigned Iter = 0; Iter < MaxIters; ++Iter) {
     if (EarlyExit && EarlyExit(W))
       return true;
@@ -332,8 +337,10 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
       return false;
     if (Decrement < 0.0)
       Decrement = 0.0;
-    if (Decrement * 0.5 < 1e-10)
+    if (Decrement * 0.5 < 1e-10) {
+      Centred = true;
       return true;
+    }
 
     // Backtracking line search with domain (feasibility) check.
     double Base = Prob.barrierValue(T, W, S);
@@ -464,19 +471,34 @@ GpSolution solveGpImpl(const GpProblem &Problem,
     W.push_back(MaxG + 1.0); // Strictly feasible for G_i - s < 0.
 
     auto FoundInterior = [](const Vector &W) { return W.back() < -1e-7; };
+    // Infeasibility certificate (Boyd & Vandenberghe 11.4): at a point
+    // centred for weight T, phase I's duality gap is m/T, so the optimal
+    // slack is at least s - m/T; above zero, no strictly feasible point
+    // exists.
+    const double NumConstraints =
+        static_cast<double>(Ctx.Constraints.size());
+    unsigned OuterIters = 0;
     double T = Options.TInitial;
     for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
+      ++OuterIters;
+      bool Centred = false;
       if (!centerNewton(PhaseOne, T, W, Options.MaxNewtonIters,
-                        Solution.NewtonIterations, +FoundInterior,
-                        Scratch)) {
+                        Solution.NewtonIterations, +FoundInterior, Scratch,
+                        Centred)) {
         Solution.Failure = "numerical breakdown in phase I";
         Solution.Outcome = SolveOutcome::NumericalBreakdown;
         return Solution;
       }
       if (FoundInterior(W))
         break;
+      if (Centred && W.back() - NumConstraints / T > 0.0) {
+        telemetry::count("solver.phase1.certified");
+        break;
+      }
       T *= Options.TMultiplier;
     }
+    telemetry::observe("solver.phase1.outer_iters",
+                       static_cast<double>(OuterIters));
     if (!FoundInterior(W)) {
       Solution.Failure = "no strictly feasible point found (phase I)";
       Solution.Outcome = SolveOutcome::Infeasible;
@@ -496,8 +518,10 @@ GpSolution solveGpImpl(const GpProblem &Problem,
       std::max<std::size_t>(Ctx.Constraints.size(), 1);
   for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
     ++OuterIters;
+    bool Centred = false;
     if (!centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
-                      Solution.NewtonIterations, nullptr, Scratch)) {
+                      Solution.NewtonIterations, nullptr, Scratch,
+                      Centred)) {
       Solution.Failure = "numerical breakdown in phase II";
       Solution.Outcome = SolveOutcome::NumericalBreakdown;
       Solution.Values = recoverX(ZVec);

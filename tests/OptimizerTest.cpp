@@ -2,6 +2,7 @@
 
 #include "ir/Builders.h"
 #include "nestmodel/Evaluator.h"
+#include "support/Telemetry.h"
 #include "thistle/Optimizer.h"
 #include "workloads/Workloads.h"
 
@@ -180,6 +181,50 @@ TEST(Optimizer, ReportsWinningPermutations) {
   // (same counting rules, modulo rounding and halo bounds).
   EXPECT_GT(R.Eval.EnergyPj, 0.2 * R.ModelObjective);
   EXPECT_LT(R.Eval.EnergyPj, 5.0 * R.ModelObjective);
+}
+
+// The ResNet-18 phase-2 candidate arch on resnet-1: every pair's tight
+// DropNegative GP is infeasible and its ProductOfTerms fallback converges.
+// Pins the winner, the 34/34 outcome split and the Newton work, so losing
+// the phase-I infeasibility certificate (151,596 steps without it) fails
+// a deterministic count instead of a wall-clock bound.
+TEST(Optimizer, FixedArchResnet1CertifiesInfeasibleSolves) {
+  ArchConfig Arch = eyerissArch();
+  Arch.NumPEs = 1178;
+  Arch.RegWordsPerPE = 8;
+  Arch.SramWords = 65536;
+  Problem P = makeConvProblem(resnet18Layers()[0]);
+  telemetry::reset();
+  telemetry::setLevel(telemetry::Level::Metrics);
+  ThistleResult R =
+      optimizeLayer(P, Arch, TechParams::cgo45nm(), ThistleOptions());
+  telemetry::Snapshot Snap = telemetry::snapshot();
+  telemetry::setLevel(telemetry::Level::Off);
+  telemetry::reset();
+
+  ASSERT_TRUE(R.Found);
+  EXPECT_NEAR(R.Eval.Cycles, 111417.0, 0.5);
+  EXPECT_NEAR(R.Eval.EnergyPerMacPj, 4.857, 5e-4);
+  // n k c r s h w, levels DRAM / spatial / PE temporal / register.
+  const std::vector<std::array<std::int64_t, NumTileLevels>> Factors = {
+      {1, 1, 1, 1}, {1, 8, 4, 2}, {1, 3, 1, 1}, {1, 7, 1, 1},
+      {1, 7, 1, 1}, {4, 1, 28, 1}, {7, 1, 16, 1}};
+  EXPECT_EQ(R.Map.Factors, Factors);
+  EXPECT_EQ(R.Stats.PairsSolved, 34u);
+  EXPECT_EQ(R.Stats.GpInfeasible, 0u);
+  EXPECT_LT(R.Stats.NewtonIterations, 20000u);
+
+  if (telemetry::compiledIn()) {
+    auto counter = [&](const char *Name) -> std::uint64_t {
+      for (const telemetry::CounterValue &C : Snap.Counters)
+        if (C.Name == Name)
+          return C.Value;
+      return 0;
+    };
+    EXPECT_EQ(counter("solver.outcome.converged"), 34u);
+    EXPECT_EQ(counter("solver.outcome.infeasible"), 34u);
+    EXPECT_EQ(counter("solver.phase1.certified"), 34u);
+  }
 }
 
 // ---- Robustness: validation, deadlines, graceful degradation --------------

@@ -7,6 +7,7 @@
 
 #include "solver/GpProblem.h"
 #include "solver/GpSolver.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -225,6 +226,99 @@ TEST(GpSolver, OutcomeIsInfeasibleOnEmptyInterior) {
   GpSolution S = solveGp(Gp);
   EXPECT_FALSE(S.Feasible);
   EXPECT_EQ(S.Outcome, SolveOutcome::Infeasible);
+  EXPECT_EQ(S.Failure, "no strictly feasible point found (phase I)");
+  // The duality-gap certificate ends phase I after a few centerings;
+  // without it the loop runs all MaxOuterIters (thousands of steps).
+  EXPECT_LE(S.NewtonIterations, 100u);
+}
+
+TEST(GpSolver, BorderlineEmptyInteriorIsInfeasible) {
+  // x >= 1 and x <= 1 - 1e-9 miss by a hair: the optimal phase-I slack
+  // is about 1e-9, so the gap bound s - m/t turns positive only once t
+  // passes about 2e9. The program must still end Infeasible.
+  GpProblem Gp;
+  VarId X = Gp.addVariable("x");
+  Gp.addVariableBounds(X, 100.0);
+  Gp.addUpperBound(Posynomial(Monomial::variable(X)), 1.0 - 1e-9,
+                   "x just below 1");
+  Gp.setObjective(Posynomial(Monomial::variable(X)));
+  GpSolution S = solveGp(Gp);
+  EXPECT_FALSE(S.Feasible);
+  EXPECT_EQ(S.Outcome, SolveOutcome::Infeasible);
+  EXPECT_EQ(S.Failure, "no strictly feasible point found (phase I)");
+}
+
+TEST(GpSolver, CertificateWaitsForACentredPoint) {
+  // x >= 1e6 starts phase I far outside. With one Newton step per
+  // centering no point is centred, and s - m/t is still positive after
+  // the first step; the certificate must not fire from such a point.
+  GpProblem Gp;
+  VarId X = Gp.addVariable("x");
+  VarId Y = Gp.addVariable("y");
+  Gp.addUpperBound(Posynomial(Monomial::variable(X, -1.0, 1e6)), 1.0,
+                   "x >= 1e6");
+  Gp.addUpperBound(Posynomial(Monomial::variable(X)), 1e7, "x <= 1e7");
+  Gp.addVariableBounds(Y, 10.0);
+  Gp.setObjective(Posynomial(Monomial::variable(X) * Monomial::variable(Y)));
+  GpSolverOptions O;
+  O.MaxNewtonIters = 1;
+  GpSolution S = solveGp(Gp, O);
+  EXPECT_TRUE(S.Feasible);
+  EXPECT_EQ(S.Outcome, SolveOutcome::Converged);
+}
+
+TEST(GpSolver, CertificateNeverRejectsAStrictlyFeasibleProgram) {
+  // Random GPs built around a known strictly feasible point x0: box
+  // bounds [x0/2, 2 x0] (so the start x = 1 is usually outside and phase
+  // I runs) plus random posynomial constraints scaled to a value in
+  // [0.5, 0.999) at x0. The certificate must never call one infeasible.
+  unsigned PhaseOneRuns = 0;
+  for (std::uint64_t Seed = 1; Seed <= 256; ++Seed) {
+    Rng R(Seed);
+    const unsigned NumVars = 1 + static_cast<unsigned>(R.nextIndex(4));
+    GpProblem Gp;
+    std::vector<VarId> Vars;
+    Assignment X0;
+    bool StartOutside = false;
+    for (unsigned I = 0; I < NumVars; ++I) {
+      Vars.push_back(Gp.addVariable("x" + std::to_string(I)));
+      const double LogX0 = 6.0 * R.nextDouble() - 3.0;
+      X0.push_back(std::exp(LogX0));
+      StartOutside |= std::fabs(LogX0) > std::log(2.0);
+      Gp.addUpperBound(Posynomial(Monomial::variable(Vars[I], -1.0)),
+                       2.0 / X0[I], "lower");
+      Gp.addUpperBound(Posynomial(Monomial::variable(Vars[I])),
+                       2.0 * X0[I], "upper");
+    }
+    PhaseOneRuns += StartOutside;
+    const unsigned NumConstraints = 1 + static_cast<unsigned>(R.nextIndex(4));
+    for (unsigned C = 0; C < NumConstraints; ++C) {
+      Posynomial Lhs;
+      const unsigned Terms = 1 + static_cast<unsigned>(R.nextIndex(3));
+      for (unsigned K = 0; K < Terms; ++K) {
+        Monomial M(0.1 + R.nextDouble());
+        for (VarId V : Vars) {
+          // Exponents in {-2, -1.5, ..., 2}.
+          const double Exp = std::round(8.0 * R.nextDouble()) / 2.0 - 2.0;
+          M = M * Monomial::variable(V, Exp);
+        }
+        Lhs += Signomial(M);
+      }
+      // Scale so Lhs(x0) = U < 1: x0 is strictly inside.
+      const double U = 0.5 + 0.499 * R.nextDouble();
+      Gp.addUpperBound(Lhs, Lhs.evaluate(X0) / U, "random");
+    }
+    Posynomial Objective;
+    for (VarId V : Vars)
+      Objective += Posynomial(Monomial::variable(V, R.nextDouble() - 0.5));
+    Gp.setObjective(Objective);
+
+    GpSolution S = solveGp(Gp);
+    EXPECT_NE(S.Outcome, SolveOutcome::Infeasible) << "seed " << Seed;
+    EXPECT_TRUE(S.Feasible) << "seed " << Seed;
+  }
+  // Most programs must actually exercise phase I.
+  EXPECT_GT(PhaseOneRuns, 128u);
 }
 
 TEST(GpSolver, TinyAndHugeCoefficientSpreads) {
