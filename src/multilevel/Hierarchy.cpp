@@ -2,32 +2,28 @@
 
 #include "multilevel/Hierarchy.h"
 
+#include "support/CommandLine.h"
 #include "support/FaultInjection.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 using namespace thistle;
 
 std::string Hierarchy::validate() const {
-  std::ostringstream Err;
+  // Called on every evaluation (the evaluators assert it), so the
+  // passing path formats nothing.
   if (Levels.size() < 2)
     return "hierarchy needs at least two levels";
-  if (FanoutLevel < 1 || FanoutLevel >= Levels.size()) {
-    Err << "fan-out level " << FanoutLevel << " out of range [1, "
-        << Levels.size() - 1 << "]";
-    return Err.str();
-  }
+  if (FanoutLevel < 1 || FanoutLevel >= Levels.size())
+    return "fan-out level " + std::to_string(FanoutLevel) +
+           " out of range [1, " + std::to_string(Levels.size() - 1) + "]";
   if (NumPEs < 1)
     return "hierarchy needs at least one PE";
   for (std::size_t L = 0; L + 1 < Levels.size(); ++L)
-    if (Levels[L].CapacityWords < 1) {
-      Err << "level " << Levels[L].Name << " has no capacity";
-      return Err.str();
-    }
+    if (Levels[L].CapacityWords < 1)
+      return "level " + Levels[L].Name + " has no capacity";
   for (const HierarchyLevel &L : Levels) {
     if (L.AccessEnergyPj < 0.0)
       return "negative access energy at level " + L.Name;
@@ -109,17 +105,13 @@ Hierarchy Hierarchy::withScratchpad(const ArchConfig &Arch,
 
 namespace {
 
-/// Strict integer parse: the whole token must be a decimal integer.
+/// Strict integer parse: the whole token must be a decimal integer that
+/// fits an int64 (cli::readNumber).
 bool parseInt64(const std::string &Token, std::int64_t &Out) {
-  if (Token.empty())
-    return false;
-  errno = 0;
-  char *End = nullptr;
-  long long V = std::strtoll(Token.c_str(), &End, 10);
-  if (errno == ERANGE || End != Token.c_str() + Token.size())
-    return false;
-  Out = V;
-  return true;
+  Expected<std::int64_t> V = cli::readNumber<std::int64_t>(Token);
+  if (V)
+    Out = V.value();
+  return V.hasValue();
 }
 
 } // namespace

@@ -2,9 +2,9 @@
 
 #include "multilevel/MultiMapping.h"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <sstream>
 
 using namespace thistle;
 
@@ -18,6 +18,21 @@ std::vector<std::int64_t> MultiMapping::tileExtents(const Hierarchy &H,
   if (Level >= H.FanoutLevel)
     for (std::size_t I = 0; I < NumIters; ++I)
       Ext[I] *= SpatialFactors[I];
+  return Ext;
+}
+
+std::vector<std::vector<std::int64_t>>
+MultiMapping::tileExtentsPerLevel(const Hierarchy &H) const {
+  const std::size_t NumIters = SpatialFactors.size();
+  std::vector<std::vector<std::int64_t>> Ext(
+      numLevels(), std::vector<std::int64_t>(NumIters));
+  for (std::size_t I = 0; I < NumIters; ++I) {
+    std::int64_t Temporal = 1;
+    for (unsigned L = 0; L < numLevels(); ++L) {
+      Temporal *= TempFactors[L][I];
+      Ext[L][I] = L >= H.FanoutLevel ? Temporal * SpatialFactors[I] : Temporal;
+    }
+  }
   return Ext;
 }
 
@@ -46,7 +61,8 @@ std::int64_t MultiMapping::numPEsUsed() const {
 
 std::string MultiMapping::validate(const Problem &Prob,
                                    const Hierarchy &H) const {
-  std::ostringstream Err;
+  // Called on every evaluation (the evaluators assert it), so the
+  // passing path formats nothing.
   const unsigned NumIters = Prob.numIterators();
   if (TempFactors.size() != H.numLevels())
     return "temporal factor levels do not match the hierarchy depth";
@@ -67,17 +83,17 @@ std::string MultiMapping::validate(const Problem &Prob,
         return "temporal factor < 1";
       Product *= TempFactors[L][I];
     }
-    if (Product != Prob.iterators()[I].Extent) {
-      Err << "iterator " << Prob.iterators()[I].Name
-          << " factors multiply to " << Product << ", expected "
-          << Prob.iterators()[I].Extent;
-      return Err.str();
-    }
+    const Iterator &It = Prob.iterators()[I];
+    if (Product != It.Extent)
+      return "iterator " + It.Name + " factors multiply to " +
+             std::to_string(Product) + ", expected " +
+             std::to_string(It.Extent);
   }
+  std::vector<bool> Seen(NumIters);
   for (const std::vector<unsigned> &Perm : Perms) {
     if (Perm.size() != NumIters)
       return "permutation arity mismatch";
-    std::vector<bool> Seen(NumIters, false);
+    std::fill(Seen.begin(), Seen.end(), false);
     for (unsigned P : Perm) {
       if (P >= NumIters || Seen[P])
         return "not a permutation";

@@ -48,6 +48,11 @@ struct MultiMapping {
   std::vector<std::int64_t> tileExtents(const Hierarchy &H,
                                         unsigned Level) const;
 
+  /// tileExtents(H, l) for every level l, built in one cumulative pass
+  /// (the evaluators' per-call setup).
+  std::vector<std::vector<std::int64_t>>
+  tileExtentsPerLevel(const Hierarchy &H) const;
+
   /// Per-PE slice extents of the first shared level (the step size of a
   /// PE's spatial coordinate).
   std::vector<std::int64_t> sliceExtents(const Hierarchy &H) const;

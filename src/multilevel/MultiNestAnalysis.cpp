@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
-#include <sstream>
+#include <string>
 #include <utility>
 
 using namespace thistle;
@@ -89,9 +89,8 @@ MultiProfile thistle::analyzeMultiNest(const Problem &Prob,
 
   // Per-level tile extents and outer-trip products, hoisted out of the
   // per-tensor loop: this is the hot path of the mapper wrappers.
-  std::vector<std::vector<std::int64_t>> Extents(L);
-  for (unsigned Lv = 0; Lv < L; ++Lv)
-    Extents[Lv] = Map.tileExtents(H, Lv);
+  const std::vector<std::vector<std::int64_t>> Extents =
+      Map.tileExtentsPerLevel(H);
   // OuterTrips[Lv] = product of every trip count of levels > Lv.
   std::vector<std::int64_t> OuterTrips(L, 1);
   for (unsigned Lv = L - 1; Lv > 0; --Lv) {
@@ -144,19 +143,22 @@ MultiEvalResult thistle::priceMultiProfile(const Problem &Prob,
   Result.Profile = std::move(Profile);
   const MultiProfile &P = Result.Profile;
 
+  // Each clause is formatted only when its check fails: a legal design
+  // builds no string on this hot path.
   Result.Legal = true;
-  std::ostringstream Why;
+  std::string &Why = Result.IllegalReason;
   for (unsigned Lv = 0; Lv + 1 < H.numLevels(); ++Lv)
     if (P.Occupancy[Lv] > H.Levels[Lv].CapacityWords) {
       Result.Legal = false;
-      Why << H.Levels[Lv].Name << " tile " << P.Occupancy[Lv]
-          << " words > capacity " << H.Levels[Lv].CapacityWords << "; ";
+      Why += H.Levels[Lv].Name + " tile " + std::to_string(P.Occupancy[Lv]) +
+             " words > capacity " +
+             std::to_string(H.Levels[Lv].CapacityWords) + "; ";
     }
   if (P.PEsUsed > H.NumPEs) {
     Result.Legal = false;
-    Why << "uses " << P.PEsUsed << " PEs > available " << H.NumPEs << "; ";
+    Why += "uses " + std::to_string(P.PEsUsed) + " PEs > available " +
+           std::to_string(H.NumPEs) + "; ";
   }
-  Result.IllegalReason = Why.str();
 
   const unsigned L = H.numLevels();
   const double Nops = static_cast<double>(Prob.numOps());

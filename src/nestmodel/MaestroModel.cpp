@@ -96,9 +96,8 @@ MultiProfile MaestroCostEvaluator::profile(const Problem &Prob,
   Profile.Occupancy.assign(L, 0);
   Profile.PEsUsed = Map.numPEsUsed();
 
-  std::vector<std::vector<std::int64_t>> Extents(L);
-  for (unsigned Lv = 0; Lv < L; ++Lv)
-    Extents[Lv] = Map.tileExtents(H, Lv);
+  const std::vector<std::vector<std::int64_t>> Extents =
+      Map.tileExtentsPerLevel(H);
 
   // Total temporal trips per level and the product over the levels above
   // each one (the enclosing-iteration count of a level's sequence).

@@ -4,6 +4,8 @@
 
 #if THISTLE_FAULT_INJECTION_ENABLED
 
+#include "support/CommandLine.h"
+
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -108,20 +110,20 @@ std::string fault::armFromSpec(const std::string &Spec) {
       std::string KeyText =
           Entry.substr(C1 + 1, C2 == std::string::npos ? std::string::npos
                                                        : C2 - C1 - 1);
-      char *End = nullptr;
       if (!KeyText.empty()) {
-        Key = std::strtoll(KeyText.c_str(), &End, 10);
-        if (*End != '\0')
-          return "fault spec '" + Entry + "': key '" + KeyText +
-                 "' is not an integer";
+        Expected<std::int64_t> K = cli::readNumber<std::int64_t>(KeyText);
+        if (!K)
+          return "fault spec '" + Entry + "': key " + K.status().message();
+        Key = K.value();
       }
       if (C2 != std::string::npos) {
-        std::string HitsText = Entry.substr(C2 + 1);
-        unsigned long Hits = std::strtoul(HitsText.c_str(), &End, 10);
-        if (HitsText.empty() || *End != '\0')
-          return "fault spec '" + Entry + "': max-hits '" + HitsText +
-                 "' is not an unsigned integer";
-        MaxHits = static_cast<unsigned>(Hits);
+        // A budget of ~0u would silently mean Unlimited; reject it.
+        Expected<unsigned> Hits =
+            cli::readNumber<unsigned>(Entry.substr(C2 + 1), 0, Unlimited - 1);
+        if (!Hits)
+          return "fault spec '" + Entry + "': max-hits " +
+                 Hits.status().message();
+        MaxHits = Hits.value();
       }
     }
     if (Site.empty())

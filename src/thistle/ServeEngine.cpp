@@ -572,6 +572,7 @@ void ServeEngine::runJob(SolveJob &Job) {
     }
   }
 
+  RR.ExitCode = Exit; // The envelope and its report agree, as in thistle-opt.
   if (Exit != 2)
     Job.CanonicalReport = RR.toCanonicalJson();
   Job.ExitCode = Exit;

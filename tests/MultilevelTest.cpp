@@ -107,6 +107,101 @@ TEST(Hierarchy, ValidationCatchesMistakes) {
   EXPECT_FALSE(H.validate().empty());
 }
 
+TEST(Hierarchy, ValidationMessagesAreExact) {
+  Hierarchy H = testHierarchy(1, 1);
+  EXPECT_EQ(H.validate(), "hierarchy needs at least two levels");
+  H = testHierarchy(3, 3);
+  EXPECT_EQ(H.validate(), "fan-out level 3 out of range [1, 2]");
+  H = testHierarchy(3, 0);
+  EXPECT_EQ(H.validate(), "fan-out level 0 out of range [1, 2]");
+  H = testHierarchy(3, 1);
+  H.NumPEs = 0;
+  EXPECT_EQ(H.validate(), "hierarchy needs at least one PE");
+  H = testHierarchy(3, 1);
+  H.Levels[1].CapacityWords = 0;
+  EXPECT_EQ(H.validate(), "level L1 has no capacity");
+  H = testHierarchy(3, 1);
+  H.Levels[2].AccessEnergyPj = -1.0;
+  EXPECT_EQ(H.validate(), "negative access energy at level L2");
+  H = testHierarchy(3, 1);
+  H.Levels[1].Bandwidth = 0.0;
+  EXPECT_EQ(H.validate(), "non-positive bandwidth at level L1");
+}
+
+TEST(MultiMapping, ValidationMessagesAreExact) {
+  Problem P = smallConvProblem(); // n k c r s h w = 1 4 4 3 3 4 4.
+  const unsigned K = P.iteratorIndex("k");
+  Hierarchy H = testHierarchy(3, 1);
+  const MultiMapping Good = MultiMapping::untiled(P, 3);
+  ASSERT_EQ(Good.validate(P, H), "");
+
+  MultiMapping M = MultiMapping::untiled(P, 2);
+  EXPECT_EQ(M.validate(P, H),
+            "temporal factor levels do not match the hierarchy depth");
+  M = Good;
+  M.SpatialFactors.pop_back();
+  EXPECT_EQ(M.validate(P, H), "spatial factor arity mismatch");
+  M = Good;
+  M.Perms.pop_back();
+  EXPECT_EQ(M.validate(P, H),
+            "permutation count does not match the hierarchy depth");
+  M = Good;
+  M.TempFactors[1].push_back(1);
+  EXPECT_EQ(M.validate(P, H), "temporal factor arity mismatch");
+  M = Good;
+  M.SpatialFactors[K] = 0;
+  EXPECT_EQ(M.validate(P, H), "spatial factor < 1");
+  M = Good;
+  M.TempFactors[2][K] = 0;
+  EXPECT_EQ(M.validate(P, H), "temporal factor < 1");
+  M = Good;
+  M.TempFactors[0][K] = 2;
+  EXPECT_EQ(M.validate(P, H), "iterator k factors multiply to 2, expected 4");
+  M = Good;
+  M.Perms[1].pop_back();
+  EXPECT_EQ(M.validate(P, H), "permutation arity mismatch");
+  M = Good;
+  M.Perms[2][0] = M.Perms[2][1]; // A repeated iterator.
+  EXPECT_EQ(M.validate(P, H), "not a permutation");
+  M = Good;
+  M.Perms[1][0] = P.numIterators(); // Out of range.
+  EXPECT_EQ(M.validate(P, H), "not a permutation");
+  // Good repeats one permutation on every level, so its passing above
+  // shows the duplicate check starts afresh on each level.
+  EXPECT_EQ(Good.Perms[1], Good.Perms[2]);
+}
+
+TEST(MultiEvaluator, IllegalReasonListsEveryViolationInOrder) {
+  // Untiled 16^3 matmul with i split 2 (level 0) x 8 (spatial) on a spad4
+  // machine: the register file and the scratchpad each hold 320 words,
+  // the shared SRAM fits the 768-word tile, and 8 PEs are asked of 4.
+  Problem P = makeMatmulProblem(16, 16, 16);
+  MultiMapping M = MultiMapping::untiled(P, 4);
+  M.TempFactors[0][0] = 2;
+  M.SpatialFactors[0] = 8;
+  ArchConfig Arch = eyerissArch();
+  Arch.NumPEs = 4;
+  Arch.RegWordsPerPE = 8;
+  const TechParams Tech = TechParams::cgo45nm();
+  Hierarchy Small = Hierarchy::withScratchpad(Arch, Tech, /*SpadWords=*/16,
+                                              /*SramWords=*/1024);
+  MultiEvalResult Bad = evaluateMultiMapping(P, Small, M);
+  EXPECT_FALSE(Bad.Legal);
+  EXPECT_EQ(Bad.IllegalReason,
+            "RegisterFile tile 320 words > capacity 8; "
+            "Scratchpad tile 320 words > capacity 16; "
+            "uses 8 PEs > available 4; ");
+
+  Arch.NumPEs = 8;
+  Arch.RegWordsPerPE = 320;
+  Hierarchy Fits = Hierarchy::withScratchpad(Arch, Tech, 320, 768);
+  MultiEvalResult Good = evaluateMultiMapping(P, Fits, M);
+  EXPECT_TRUE(Good.Legal);
+  EXPECT_EQ(Good.IllegalReason, "");
+  // Legality is the only thing the capacities decide here.
+  EXPECT_EQ(Good.Profile.Occupancy, Bad.Profile.Occupancy);
+}
+
 TEST(Hierarchy, AreaPricesPrivateLevelsPerPE) {
   // On a 4-level machine with fan-out at level 2, the register file and
   // the scratchpad are replicated per PE while the SRAM is shared; the
@@ -259,6 +354,12 @@ TEST(MultiNestAnalysis, MatchesOracleOnRandomHierarchies) {
             EXPECT_EQ(Model.Words[B][T], Oracle.Words[B][T])
                 << "boundary " << B << " tensor "
                 << P.tensors()[T].Name;
+        // The model's one-pass extents equal the per-level ones the
+        // oracle walks.
+        std::vector<std::vector<std::int64_t>> Extents =
+            M.tileExtentsPerLevel(H);
+        for (unsigned Lv = 0; Lv < NumLevels; ++Lv)
+          EXPECT_EQ(Extents[Lv], M.tileExtents(H, Lv)) << "level " << Lv;
       }
     }
   }
@@ -555,6 +656,24 @@ TEST(Hierarchy, ParseReportsLineNumbers) {
   // Unknown directive.
   EXPECT_NE(parseErrorOf("pes 16\nwibble 3\n").find("line 2"),
             std::string::npos);
+}
+
+TEST(Hierarchy, ParseReadsIntegersStrictly) {
+  // Integers go through cli::readNumber: no sign prefix, no trailing
+  // characters, nothing past int64, and the line-numbered messages stay.
+  EXPECT_EQ(parseErrorOf("pes +16\n"), "line 1: 'pes' wants an integer");
+  EXPECT_EQ(parseErrorOf("pes 16\npes 9223372036854775808\n"),
+            "line 2: 'pes' wants an integer");
+  EXPECT_EQ(parseErrorOf("pes 16\nfanout 1x\n"),
+            "line 2: 'fanout' wants a level index");
+  EXPECT_EQ(parseErrorOf("pes 16\nfanout 0\n"),
+            "line 2: 'fanout' wants a level index >= 1, got 0");
+  EXPECT_EQ(parseErrorOf("pes 16\nlevel RF 99999999999999999999 0.5 16\n"),
+            "line 2: level 'RF' wants a positive integer capacity or '-', "
+            "got '99999999999999999999'");
+  EXPECT_EQ(parseErrorOf("pes 16\nlevel RF 64 0.5 1e9\n"
+                         "level DRAM 9223372036854775807 128 16\n"),
+            "");
 }
 
 TEST(Hierarchy, ParseRejectsDuplicateLevelNames) {

@@ -226,6 +226,31 @@ TEST(Evaluator, FlagsPEOversubscription) {
   EXPECT_NE(Res.IllegalReason.find("PEs"), std::string::npos);
 }
 
+TEST(Evaluator, IllegalReasonUsesFixedDepthWordingInOrder) {
+  Problem P = makeMatmulProblem(16, 16, 16);
+  Mapping M = Mapping::untiled(P);
+  M.factor(0, TileLevel::Register) = 8;
+  M.factor(0, TileLevel::Spatial) = 2;
+  ArchConfig Tiny;
+  Tiny.NumPEs = 1;
+  Tiny.RegWordsPerPE = 8;
+  Tiny.SramWords = 16;
+  EnergyModel E(TechParams::cgo45nm());
+  EvalResult Bad = evaluateMapping(P, M, Tiny, E);
+  EXPECT_FALSE(Bad.Legal);
+  EXPECT_EQ(Bad.IllegalReason, "register tile 512 words > capacity 8; "
+                               "SRAM tile 768 words > capacity 16; "
+                               "uses 2 PEs > available 1; ");
+
+  ArchConfig Roomy = Tiny;
+  Roomy.NumPEs = 2;
+  Roomy.RegWordsPerPE = 512;
+  Roomy.SramWords = 768;
+  EvalResult Good = evaluateMapping(P, M, Roomy, E);
+  EXPECT_TRUE(Good.Legal);
+  EXPECT_EQ(Good.IllegalReason, "");
+}
+
 TEST(Mapper, FindsLegalMappingOnSmallConv) {
   ConvLayer L;
   L.K = 16;

@@ -1,6 +1,8 @@
 //===- tests/RoundingTest.cpp - Integerization stage tests ----------------===//
 
 #include "ir/Builders.h"
+#include "nestmodel/CostEvaluator.h"
+#include "nestmodel/MaestroModel.h"
 #include "thistle/GpBuilder.h"
 #include "thistle/PermutationSpace.h"
 #include "thistle/Rounding.h"
@@ -8,6 +10,10 @@
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
+#include <utility>
 
 using namespace thistle;
 
@@ -138,4 +144,121 @@ TEST_F(RoundingFixture, WiderWindowNeverLosesUnderSameCap) {
   if (D1.Found) {
     EXPECT_LE(D2.Eval.EnergyPj, D1.Eval.EnergyPj);
   }
+}
+
+namespace {
+
+std::uint64_t bitsOf(double V) {
+  std::uint64_t B;
+  std::memcpy(&B, &V, sizeof B);
+  return B;
+}
+
+/// The full rounded design of one resnet-5 run, pinned bit for bit.
+struct PinnedWinner {
+  std::size_t CandidatesTried;
+  std::int64_t NumPEs, RegWordsPerPE, SramWords;
+  /// Per iterator (n k c r s h w): Register, PeTemporal, Spatial,
+  /// DramTemporal trip counts.
+  std::vector<std::array<std::int64_t, NumTileLevels>> Factors;
+  std::uint64_t EnergyBits, CyclesBits;
+};
+
+/// resnet-5 (1x1, stride 2) with k, c, h, w tiled under one fixed pair
+/// of permutation classes.
+struct Resnet5Rounding : public ::testing::Test {
+  Problem Prob = makeConvProblem(resnet18Layers()[4]);
+  GpBuildSpec Spec = [this] {
+    GpBuildSpec S;
+    auto It = [this](const char *Name) { return Prob.iteratorIndex(Name); };
+    S.TiledIters = {It("k"), It("c"), It("h"), It("w")};
+    S.PePerm = {It("c"), It("k"), It("w"), It("h")};
+    S.DramPerm = {It("h"), It("w"), It("k"), It("c")};
+    S.Arch = eyerissArch();
+    S.AreaBudgetUm2 = eyerissAreaUm2(S.Tech);
+    return S;
+  }();
+
+  RealSolution solveReal(DesignMode Mode) {
+    Spec.Mode = Mode;
+    GpBuild B = buildGp(Prob, Spec);
+    GpSolution S = solveGp(B.Gp);
+    EXPECT_TRUE(S.Feasible);
+    return extractSolution(Prob, B, Spec, S);
+  }
+
+  void expectWinner(const RoundedDesign &D, const PinnedWinner &W) {
+    ASSERT_TRUE(D.Found);
+    EXPECT_TRUE(D.Eval.Legal);
+    EXPECT_EQ(D.CandidatesTried, W.CandidatesTried);
+    EXPECT_EQ(D.Arch.NumPEs, W.NumPEs);
+    EXPECT_EQ(D.Arch.RegWordsPerPE, W.RegWordsPerPE);
+    EXPECT_EQ(D.Arch.SramWords, W.SramWords);
+    EXPECT_EQ(D.Map.Factors, W.Factors);
+    // fullPermutation appends the untiled iterators n, r, s.
+    EXPECT_EQ(D.Map.DramPerm, (std::vector<unsigned>{5, 6, 1, 2, 0, 3, 4}));
+    EXPECT_EQ(D.Map.PePerm, (std::vector<unsigned>{2, 1, 6, 5, 0, 3, 4}));
+    EXPECT_EQ(bitsOf(D.Eval.EnergyPj), W.EnergyBits);
+    EXPECT_EQ(bitsOf(D.Eval.Cycles), W.CyclesBits);
+  }
+};
+
+const PinnedWinner DataflowWinner = {
+    696, 168, 512, 65536,
+    {{1, 1, 1, 1}, {1, 8, 1, 16}, {2, 16, 1, 2}, {1, 1, 1, 1},
+     {1, 1, 1, 1}, {2, 1, 14, 1}, {2, 1, 2, 7}},
+    0x41a71ee76d2445afULL, 0x40e8800000000000ULL}; // 1.9395e8 pJ, 50176.
+
+const PinnedWinner CoDesignWinner = {
+    1320, 1215, 8, 65536,
+    {{1, 1, 1, 1}, {1, 64, 1, 2}, {2, 16, 1, 2}, {1, 1, 1, 1},
+     {1, 1, 1, 1}, {2, 1, 14, 1}, {2, 1, 14, 1}},
+    0x4191a0f6a0307716ULL, 0x40d9a40000000000ULL}; // 7.3940e7 pJ, 26256.
+
+} // namespace
+
+TEST_F(Resnet5Rounding, WinnersArePinnedUnderEveryEvaluator) {
+  CrossCheckEvaluator CrossCheck(nestCostEvaluator(), maestroCostEvaluator());
+  const CostEvaluator *Backends[] = {nullptr, costEvaluator("maestro"),
+                                     &CrossCheck};
+  const std::pair<DesignMode, const PinnedWinner *> Runs[] = {
+      {DesignMode::DataflowOnly, &DataflowWinner},
+      {DesignMode::CoDesign, &CoDesignWinner}};
+  for (const auto &[Mode, Winner] : Runs) {
+    RealSolution Real = solveReal(Mode);
+    for (const CostEvaluator *Backend : Backends) {
+      SCOPED_TRACE(std::string(Mode == DesignMode::CoDesign ? "codesign "
+                                                            : "dataflow ") +
+                   (Backend ? Backend->name() : "default"));
+      RoundingOptions Opts;
+      Opts.Evaluator = Backend;
+      expectWinner(roundSolution(Prob, Spec, Real, Opts), *Winner);
+    }
+  }
+  CrossCheckStats Stats = CrossCheck.stats();
+  EXPECT_EQ(Stats.Evals, 696u + 1320u);
+  EXPECT_EQ(Stats.DivergentEvals, 0u);
+}
+
+TEST_F(Resnet5Rounding, CandidateCapBindsExactly) {
+  // One architecture: the cap is hit exactly, and the nearest-first order
+  // already holds the uncapped winner.
+  RoundingOptions Opts;
+  Opts.MaxMappingCandidates = 10;
+  PinnedWinner Dataflow = DataflowWinner;
+  Dataflow.CandidatesTried = 10;
+  expectWinner(roundSolution(Prob, Spec, solveReal(DesignMode::DataflowOnly),
+                             Opts),
+               Dataflow);
+
+  // Several architectures: the cap is checked per mapping, so the last
+  // mapping's remaining architectures still count (10 -> 12), and the
+  // capped search settles for a worse register tile of c.
+  PinnedWinner CoDesign = CoDesignWinner;
+  CoDesign.CandidatesTried = 12;
+  CoDesign.Factors[2] = {4, 16, 1, 1};
+  CoDesign.EnergyBits = 0x419212e247fe5be6ULL; // 7.5807e7 pJ.
+  expectWinner(
+      roundSolution(Prob, Spec, solveReal(DesignMode::CoDesign), Opts),
+      CoDesign);
 }

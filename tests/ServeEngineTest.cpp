@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/FaultInjection.h"
 #include "support/Json.h"
 #include "thistle/ServeEngine.h"
 
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace thistle;
@@ -105,6 +107,18 @@ std::uint64_t serverCacheCounter(const std::string &Resp,
   std::size_t Pos = Resp.find("\"" + Key + "\":", Server);
   EXPECT_NE(Pos, std::string::npos);
   return std::strtoull(Resp.c_str() + Pos + Key.size() + 3, nullptr, 10);
+}
+
+/// The run report a response embeds carries the envelope's exit code.
+void expectReportExitCodeMatches(const std::string &Resp) {
+  Expected<json::JsonValue> V = json::parseJson(Resp);
+  ASSERT_TRUE(V) << Resp;
+  const json::JsonValue *Envelope = V.value().find("exit_code");
+  const json::JsonValue *Report = V.value().find("report");
+  ASSERT_NE(Envelope, nullptr) << Resp;
+  ASSERT_NE(Report, nullptr) << Resp;
+  ASSERT_NE(Report->find("exit_code"), nullptr) << Resp;
+  EXPECT_EQ(Report->find("exit_code")->number(), Envelope->number()) << Resp;
 }
 
 TEST(ServeEngine, AnswersPingAndRejectsGarbage) {
@@ -229,6 +243,7 @@ TEST(ServeEngine, ExpiredDeadlineDegradesInsteadOfCrashing) {
       Resp.find("\"status\":\"no-design\"") != std::string::npos ||
       Resp.find("\"status\":\"ok\"") != std::string::npos;
   EXPECT_TRUE(Degraded) << Resp;
+  expectReportExitCodeMatches(Resp);
 
   // The unlimited query is a different dedup/cache story: it must
   // still produce the full clean answer.
@@ -237,6 +252,26 @@ TEST(ServeEngine, ExpiredDeadlineDegradesInsteadOfCrashing) {
   EXPECT_NE(Full.find("\"deadline_expired\":false"), std::string::npos);
   Engine.shutdown();
 }
+
+#if THISTLE_FAULT_INJECTION_ENABLED
+TEST(ServeEngine, DegradedAndNoDesignReportsCarryTheirExitCode) {
+  // Failed pairs make the answer degraded (exit 1), or leave no design
+  // at all (exit 3); the embedded report used to say 0 either way.
+  const std::pair<std::int64_t, const char *> Cases[] = {
+      {/*pair*/ 0, "\"status\":\"degraded\",\"exit_code\":1"},
+      {fault::AnyKey, "\"status\":\"no-design\",\"exit_code\":3"}};
+  for (const auto &[Key, Status] : Cases) {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    fault::arm("thistle.pair", Key);
+    std::string Resp = Engine.handleLine(LayerQuery);
+    fault::disarmAll();
+    EXPECT_NE(Resp.find(Status), std::string::npos) << Resp;
+    expectReportExitCodeMatches(Resp);
+    Engine.shutdown();
+  }
+}
+#endif // THISTLE_FAULT_INJECTION_ENABLED
 
 TEST(ServeEngine, ShutdownReportMatchesStats) {
   ServeEngine Engine{ServeOptions{}};

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -317,6 +318,36 @@ TEST(FaultInjection, SpecParsing) {
   EXPECT_FALSE(fault::shouldFail("unit.spec-b", 5)); // Budget spent.
   EXPECT_EQ(fault::armFromSpec(""), std::string()); // Empty = no-op.
   EXPECT_NE(fault::armFromSpec("site:notanumber"), std::string());
+}
+
+TEST(FaultInjection, SpecNumbersAreReadStrictly) {
+  FaultGuard G;
+  // A negative budget used to wrap to "unlimited", 2^32 + 1 to one hit,
+  // and a key past int64 to a clamped key; all three are errors now.
+  EXPECT_EQ(fault::armFromSpec("unit.strict:1:-1"),
+            "fault spec 'unit.strict:1:-1': max-hits '-1' is negative");
+  EXPECT_EQ(fault::armFromSpec("unit.strict:1:4294967297"),
+            "fault spec 'unit.strict:1:4294967297': max-hits '4294967297' "
+            "does not fit the value type");
+  EXPECT_EQ(fault::armFromSpec("unit.strict:9223372036854775808"),
+            "fault spec 'unit.strict:9223372036854775808': key "
+            "'9223372036854775808' does not fit the value type");
+  // The unlimited sentinel cannot be spelled as a budget either.
+  EXPECT_EQ(fault::armFromSpec("unit.strict::4294967295"),
+            "fault spec 'unit.strict::4294967295': max-hits '4294967295' is "
+            "out of range (want 0-4294967294)");
+  EXPECT_NE(fault::armFromSpec("unit.strict:1:2x"), std::string());
+  EXPECT_NE(fault::armFromSpec("unit.strict:1:"), std::string());
+  EXPECT_FALSE(fault::shouldFail("unit.strict", 1)); // Nothing armed.
+
+  // The extremes that do fit are taken as written.
+  EXPECT_EQ(fault::armFromSpec("unit.strict:-9223372036854775808:4294967294"),
+            std::string());
+  EXPECT_FALSE(fault::shouldFail("unit.strict", 1));
+  EXPECT_TRUE(fault::shouldFail("unit.strict",
+                                std::numeric_limits<std::int64_t>::min()));
+  EXPECT_EQ(fault::armFromSpec("unit.strict:7:0"), std::string());
+  EXPECT_FALSE(fault::shouldFail("unit.strict", 7)); // A zero budget.
 }
 
 #endif // THISTLE_FAULT_INJECTION_ENABLED
