@@ -64,16 +64,6 @@ struct EvalResult {
 EvalResult evaluateMapping(const Problem &Prob, const Mapping &Map,
                            const ArchConfig &Arch, const EnergyModel &Energy);
 
-class CostEvaluator;
-
-/// As above, but counting accesses with the given evaluator backend
-/// (nestmodel/CostEvaluator.h). With the nest backend this is
-/// bit-identical to the four-argument overload; other backends replace
-/// the Algorithm-1 walk while sharing the pricing.
-EvalResult evaluateMapping(const Problem &Prob, const Mapping &Map,
-                           const ArchConfig &Arch, const EnergyModel &Energy,
-                           const CostEvaluator &Evaluator);
-
 struct MultiEvalResult;
 
 /// Repackages a classic-3-level generic evaluation into the fixed-depth
