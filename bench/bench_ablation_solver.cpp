@@ -3,11 +3,13 @@
 // Measures the interior-point GP solver that replaces CVXPY: per-layer
 // solve statistics (variables, constraints, Newton iterations, wall time)
 // for one representative permutation class, google-benchmark timings
-// across solver tolerances, and a speed record of the two layer runs
-// dominated by infeasible solves, written to BENCH_solver.json in the
-// working directory. The committed copy of that file also carries a
-// "before" block: the same measurements on the tree before phase I
-// certified infeasibility.
+// across solver tolerances, and a speed record written to
+// BENCH_solver.json in the working directory: two layer runs, one of
+// them dominated by infeasible solves, and a solve sweep over every
+// ResNet-18 layer's representative GP in both modes, each with its
+// Newton steps and wall time per Newton step. The committed copy of that
+// file also carries a "before" block: the same measurements, from the
+// same bench source, on the parent tree of the last solver speed change.
 //
 //===----------------------------------------------------------------------===//
 
@@ -84,6 +86,40 @@ struct SolverRecord {
 
 constexpr unsigned RecordReps = 3;
 
+/// Wall nanoseconds per Newton step (0 when no step was counted).
+double nsPerNewtonStep(double Seconds, std::uint64_t NewtonSteps) {
+  return NewtonSteps ? Seconds * 1e9 / static_cast<double>(NewtonSteps)
+                     : 0.0;
+}
+
+/// One solve sweep of the speed record: solveGp on the representative
+/// GP of every ResNet-18 layer, built once outside the timed region.
+struct SweepRecord {
+  const char *Name = nullptr;
+  double Seconds = 0.0; ///< Min-of-N wall time of the whole sweep.
+  std::size_t Solves = 0;
+  std::uint64_t NewtonSteps = 0;
+};
+
+constexpr unsigned SweepReps = 5;
+
+SweepRecord measureSweep(const char *Name, DesignMode Mode) {
+  std::vector<GpProblem> Gps;
+  for (const ConvLayer &L : resnet18Layers()) {
+    Problem P = makeConvProblem(L);
+    Gps.push_back(buildGp(P, specForLayer(P, Mode)).Gp);
+  }
+  SweepRecord Rec{Name};
+  Rec.Solves = Gps.size();
+  for (const GpProblem &Gp : Gps)
+    Rec.NewtonSteps += solveGp(Gp).NewtonIterations;
+  Rec.Seconds = minSecondsOfN(SweepReps, [&] {
+    for (const GpProblem &Gp : Gps)
+      benchmark::DoNotOptimize(solveGp(Gp));
+  });
+  return Rec;
+}
+
 /// Times \p Run (telemetry off), then repeats it once traced to count
 /// solves by outcome: every solver.attempt span is one solveGp call and
 /// carries "<outcome> newton=N".
@@ -143,6 +179,10 @@ void writeSolverRecord(const char *Path) {
                                                eyerissAreaUm2(Tech)));
       })};
 
+  const SweepRecord Sweeps[] = {
+      measureSweep("resnet18_dataflow", DesignMode::DataflowOnly),
+      measureSweep("resnet18_codesign", DesignMode::CoDesign)};
+
   std::FILE *F = std::fopen(Path, "w");
   if (!F) {
     std::fprintf(stderr, "cannot write %s\n", Path);
@@ -153,8 +193,9 @@ void writeSolverRecord(const char *Path) {
                "  \"bench\": \"ablation_solver\",\n"
                "  \"hardware_concurrency\": %u,\n"
                "  \"timing\": \"min_of_%u\",\n"
+               "  \"sweep_timing\": \"min_of_%u\",\n"
                "  \"runs\": {\n",
-               ThreadPool::defaultWorkerCount(), RecordReps);
+               ThreadPool::defaultWorkerCount(), RecordReps, SweepReps);
   for (std::size_t I = 0; I < std::size(Records); ++I) {
     const SolverRecord &R = Records[I];
     std::fprintf(F,
@@ -164,7 +205,8 @@ void writeSolverRecord(const char *Path) {
                  "      \"infeasible\": %llu,\n"
                  "      \"certified\": %llu,\n"
                  "      \"newton_steps\": %llu,\n"
-                 "      \"newton_per_infeasible\": %.1f\n"
+                 "      \"newton_per_infeasible\": %.1f,\n"
+                 "      \"ns_per_newton_step\": %.0f\n"
                  "    }%s\n",
                  R.Name, R.Seconds, static_cast<unsigned long long>(R.Solves),
                  static_cast<unsigned long long>(R.Infeasible),
@@ -173,6 +215,7 @@ void writeSolverRecord(const char *Path) {
                  R.Infeasible ? static_cast<double>(R.NewtonInfeasible) /
                                     static_cast<double>(R.Infeasible)
                               : 0.0,
+                 nsPerNewtonStep(R.Seconds, R.NewtonSteps),
                  I + 1 < std::size(Records) ? "," : "");
     std::printf("%-20s %8.4f s  %llu solves, %llu infeasible (%llu "
                 "certified), %llu Newton steps\n",
@@ -180,6 +223,28 @@ void writeSolverRecord(const char *Path) {
                 static_cast<unsigned long long>(R.Infeasible),
                 static_cast<unsigned long long>(R.Certified),
                 static_cast<unsigned long long>(R.NewtonSteps));
+  }
+  std::fprintf(F, "  },\n  \"sweeps\": {\n");
+  for (std::size_t I = 0; I < std::size(Sweeps); ++I) {
+    const SweepRecord &R = Sweeps[I];
+    const double MsPerSolve =
+        R.Seconds * 1e3 / static_cast<double>(R.Solves);
+    const double Ns = nsPerNewtonStep(R.Seconds, R.NewtonSteps);
+    std::fprintf(F,
+                 "    \"%s\": {\n"
+                 "      \"seconds\": %.5f,\n"
+                 "      \"solves\": %zu,\n"
+                 "      \"ms_per_solve\": %.3f,\n"
+                 "      \"newton_steps\": %llu,\n"
+                 "      \"ns_per_newton_step\": %.0f\n"
+                 "    }%s\n",
+                 R.Name, R.Seconds, R.Solves, MsPerSolve,
+                 static_cast<unsigned long long>(R.NewtonSteps), Ns,
+                 I + 1 < std::size(Sweeps) ? "," : "");
+    std::printf("%-20s %8.4f s  %zu solves, %.3f ms/solve, %llu Newton "
+                "steps, %.0f ns/step\n",
+                R.Name, R.Seconds, R.Solves, MsPerSolve,
+                static_cast<unsigned long long>(R.NewtonSteps), Ns);
   }
   std::fprintf(F, "  }\n}\n");
   std::fclose(F);

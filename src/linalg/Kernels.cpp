@@ -43,7 +43,11 @@ double kernels::sum(const double *A, std::size_t N) {
   return S;
 }
 
-void kernels::axpy(double *Y, double Alpha, const double *X, std::size_t N) {
+namespace {
+
+/// The body of kernels::axpy, inlined into the triangle kernels so a
+/// whole triangle is one call.
+inline void axpyRow(double *Y, double Alpha, const double *X, std::size_t N) {
   const Pack4 VA = simd::set1(Alpha);
   std::size_t I = 0;
   for (; I + 4 <= N; I += 4)
@@ -52,6 +56,12 @@ void kernels::axpy(double *Y, double Alpha, const double *X, std::size_t N) {
                           simd::mul(VA, simd::load(X + I))));
   for (; I < N; ++I)
     Y[I] += Alpha * X[I];
+}
+
+} // namespace
+
+void kernels::axpy(double *Y, double Alpha, const double *X, std::size_t N) {
+  axpyRow(Y, Alpha, X, N);
 }
 
 void kernels::axpby(double *Out, const double *A, double Alpha,
@@ -86,22 +96,64 @@ double kernels::expAccum(double *E, std::size_t N, double Max) {
   return S;
 }
 
-void kernels::gramAccum(double *H, const double *Row, double W,
-                        std::size_t N) {
+void kernels::gramAccumLower(double *H, const double *Row, double W,
+                             std::size_t N) {
   for (std::size_t I = 0; I < N; ++I)
-    axpy(H + I * N, W * Row[I], Row, N);
+    axpyRow(H + I * N, W * Row[I], Row, I + 1);
 }
 
-void kernels::rank1Sub(double *H, const double *G, std::size_t N) {
+void kernels::rank1SubLower(double *H, const double *G, std::size_t N) {
   for (std::size_t I = 0; I < N; ++I) {
     double *Hr = H + I * N;
     const Pack4 Gi = simd::set1(G[I]);
     std::size_t J = 0;
-    for (; J + 4 <= N; J += 4)
+    for (; J + 4 <= I + 1; J += 4)
       simd::store(Hr + J, simd::sub(simd::load(Hr + J),
                                     simd::mul(Gi, simd::load(G + J))));
-    for (; J < N; ++J)
+    for (; J <= I; ++J)
       Hr[J] -= G[I] * G[J];
+  }
+}
+
+void kernels::axpyLower(double *Y, std::size_t LdY, double Alpha,
+                        const double *X, std::size_t LdX, std::size_t N) {
+  for (std::size_t I = 0; I < N; ++I)
+    axpyRow(Y + I * LdY, Alpha, X + I * LdX, I + 1);
+}
+
+void kernels::rowDotsSparse(double *Out, const double *A, std::size_t N,
+                            const unsigned *NzCols, const unsigned *NzBegin,
+                            std::size_t K, const double *X, const double *B) {
+  // Columns below N4 belong to lane (column mod 4) of dot's blocked
+  // loop; the rest to its sequential tail.
+  const std::size_t N4 = N & ~std::size_t(3);
+  for (std::size_t R = 0; R < K; ++R) {
+    const double *Row = A + R * N;
+    const unsigned *Nz = NzCols + NzBegin[R], *End = NzCols + NzBegin[R + 1];
+    double L[4] = {0.0, 0.0, 0.0, 0.0};
+    for (; Nz != End && *Nz < N4; ++Nz)
+      L[*Nz & 3] += Row[*Nz] * X[*Nz];
+    double S = (L[0] + L[1]) + (L[2] + L[3]);
+    for (; Nz != End; ++Nz)
+      S += Row[*Nz] * X[*Nz];
+    Out[R] = S + B[R];
+  }
+}
+
+void kernels::axpySparse(double *Y, double Alpha, const double *X,
+                         const unsigned *Nz, std::size_t NumNz) {
+  for (std::size_t K = 0; K < NumNz; ++K)
+    Y[Nz[K]] += Alpha * X[Nz[K]];
+}
+
+void kernels::gramAccumLowerSparse(double *H, const double *Row,
+                                   const unsigned *Nz, std::size_t NumNz,
+                                   double W, std::size_t N) {
+  for (std::size_t P = 0; P < NumNz; ++P) {
+    double *Hi = H + Nz[P] * N;
+    const double Wi = W * Row[Nz[P]];
+    for (std::size_t Q = 0; Q <= P; ++Q)
+      Hi[Nz[Q]] += Wi * Row[Nz[Q]];
   }
 }
 

@@ -7,7 +7,7 @@
 /// \file
 /// The portable SIMD kernel layer for the barrier-Newton inner loops:
 /// blocked dot/sum/axpy, the fused exp-and-accumulate used by log-sum-exp
-/// value/gradient/Hessian assembly, weighted-Gram Hessian accumulation,
+/// value/gradient/Hessian assembly, lower-triangle Hessian updates,
 /// and a blocked dense Cholesky factor/solve plus a lane-batched variant
 /// that factors four same-size SPD systems at once (one SIMD lane per
 /// system — the regularization-ladder rungs of a Newton step share one
@@ -17,7 +17,7 @@
 /// and association order — reductions accumulate four partial sums over
 /// blocks of four elements, combine them as `(l0 + l1) + (l2 + l3)`, and
 /// fold the tail sequentially — independent of the instruction set
-/// selected by `THISTLE_SIMD`. Element-wise kernels (axpy, Gram updates)
+/// selected by `THISTLE_SIMD`. Element-wise kernels (axpy, triangle updates)
 /// perform exactly one mul and one add per element, never an FMA. The
 /// result of every kernel is therefore bit-identical across
 /// `THISTLE_SIMD=off/scalar/native`, which keeps full solver trajectories
@@ -66,13 +66,49 @@ void axpby(double *Out, const double *A, double Alpha, const double *B,
 /// final accumulation uses the fixed blocked order.
 double expAccum(double *E, std::size_t N, double Max);
 
-/// Weighted Gram accumulation H += W * Row * Row^T for one row:
-/// H[i*N + j] += (W * Row[i]) * Row[j]. Element-wise across j, so the
-/// result is bit-identical to the naive triple loop.
-void gramAccum(double *H, const double *Row, double W, std::size_t N);
+/// The three symmetric-matrix updates below touch only the lower
+/// triangle (j <= i) of a row-major N x N matrix: Cholesky reads nothing
+/// else, so the solver assembles its Hessians as lower triangles. Each
+/// is one kernel call for the whole triangle, and each element gets
+/// exactly the operations of the naive loop.
 
-/// Rank-one subtraction H[i*N + j] -= G[i] * G[j] (element-wise).
-void rank1Sub(double *H, const double *G, std::size_t N);
+/// Weighted Gram accumulation H += W * Row * Row^T for one row:
+/// H[i*N + j] += (W * Row[i]) * Row[j] for j <= i.
+void gramAccumLower(double *H, const double *Row, double W, std::size_t N);
+
+/// Rank-one subtraction H[i*N + j] -= G[i] * G[j] for j <= i.
+void rank1SubLower(double *H, const double *G, std::size_t N);
+
+/// Scaled add of the lower triangle of an N x N block with row strides
+/// \p LdY and \p LdX: Y[i*LdY + j] += Alpha * X[i*LdX + j] for j <= i.
+void axpyLower(double *Y, std::size_t LdY, double Alpha, const double *X,
+               std::size_t LdX, std::size_t N);
+
+/// Sparse-row twins of dot, axpy and gramAccumLower. A row is passed
+/// densely together with the ascending list \p Nz of its nonzero
+/// columns, and must be zero elsewhere. Each kernel skips exactly the
+/// terms that have one of those zeros as a factor and otherwise keeps
+/// the operation order of its dense twin, lane partials included. Its
+/// result is therefore the dense kernel's, bit for bit, whenever every
+/// skipped product is +-0 (its other factor finite) and no accumulator
+/// holds -0.0: adding +-0 leaves every other value unchanged. A sum that
+/// starts at +0.0 never becomes -0.0, which is how the solver meets the
+/// second condition.
+
+/// Row dots of a K x N row-major matrix \p A plus offsets:
+/// Out[k] = dot(A + k*N, X, N) + B[k], where row k is zero outside the
+/// columns NzCols[NzBegin[k], NzBegin[k+1]).
+void rowDotsSparse(double *Out, const double *A, std::size_t N,
+                   const unsigned *NzCols, const unsigned *NzBegin,
+                   std::size_t K, const double *X, const double *B);
+
+/// axpy(Y, Alpha, X, N) for X zero outside \p Nz.
+void axpySparse(double *Y, double Alpha, const double *X, const unsigned *Nz,
+                std::size_t NumNz);
+
+/// gramAccumLower(H, Row, W, N) for Row zero outside \p Nz.
+void gramAccumLowerSparse(double *H, const double *Row, const unsigned *Nz,
+                          std::size_t NumNz, double W, std::size_t N);
 
 /// In-place lower-triangular Cholesky factorization of the row-major
 /// N x N matrix \p A, with blocked inner dot products. Returns false if

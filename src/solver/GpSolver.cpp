@@ -9,6 +9,14 @@
 // Cholesky call. Results are bit-identical across every THISTLE_SIMD
 // setting (see docs/PERF.md).
 //
+// The barrier is assembled from the program's structure, with every
+// floating-point result that of the plain dense log-sum-exp assembly:
+// a single-term (affine) constraint skips the exp/log and the Hessian
+// passes that sum to exactly zero, exponent rows visit only their
+// nonzero columns, Hessians are built as lower triangles (all Cholesky
+// reads), and the line search tests feasibility before it takes a log
+// (docs/SOLVER.md, "Affine constraints and the lower triangle").
+//
 //===----------------------------------------------------------------------===//
 
 #include "solver/GpSolver.h"
@@ -36,83 +44,149 @@ bool allFinite(const Vector &V) {
   return true;
 }
 
-/// A log-sum-exp function over the reduced variables z:
-///   F(z) = log sum_k exp(A_k . z + B_k).
-/// Precompiled from a posynomial after the y = y0 + Z z substitution.
-/// The exponent rows A_k are one contiguous K x Reduced matrix so the
-/// kernels stream them without pointer chasing.
-struct LseFunction {
-  Matrix Rows;    ///< K x Reduced exponent rows A_k.
-  Vector Offsets; ///< B_k.
+/// Exponent rows a_k over the reduced variables z with offsets b_k, as
+/// one contiguous K x Reduced matrix so the kernels stream them without
+/// pointer chasing. The rows are sparse (a variable bound touches one or
+/// two reduced variables, an objective term four or five), so each keeps
+/// the list of its nonzero columns and runs on the sparse-row kernels.
+/// Those equal the dense kernels bit for bit here: every point z the
+/// solver evaluates is finite, every softmax weight of a step whose
+/// gradient is finite lies in [0, 1], and every accumulator starts at
+/// +0.0 (see kernels::rowDotsSparse).
+struct SparseRows {
+  Matrix Rows;
+  Vector Offsets;
+  /// Nonzero columns of row k, ascending: NzCols[NzBegin[k], NzBegin[k+1]).
+  std::vector<unsigned> NzCols, NzBegin;
+  /// max(1, largest |a_ki|): |W * a_ki| <= |W| * RowBound for every
+  /// entry, and for the -1 slack entry of a phase-one gradient.
+  double RowBound = 1.0;
 
-  std::size_t numTerms() const { return Rows.rows(); }
-
-  /// Value only. \p E is exponent scratch, resized to the term count.
-  double value(const Vector &Z, Vector &E) const {
-    const std::size_t K = Rows.rows(), N = Rows.cols();
-    assert(Z.size() == N && "LSE evaluated at the wrong dimension");
-    E.resize(K);
-    double Max = -std::numeric_limits<double>::infinity();
-    for (std::size_t T = 0; T < K; ++T) {
-      E[T] = kernels::dot(Rows.row(T), Z.data(), N) + Offsets[T];
-      Max = std::max(Max, E[T]);
-    }
-    double Sum = kernels::expAccum(E.data(), K, Max);
-    return Max + std::log(Sum);
+  std::size_t size() const { return Rows.rows(); }
+  const unsigned *nz(std::size_t K) const {
+    return NzCols.data() + NzBegin[K];
+  }
+  std::size_t numNz(std::size_t K) const {
+    return NzBegin[K + 1] - NzBegin[K];
   }
 
-  /// Value, gradient, and (optionally) Hessian. The Hessian of a
-  /// log-sum-exp is sum_k w_k a_k a_k^T - g g^T with softmax weights w.
-  /// \p E is exponent scratch; \p Grad / \p Hess are overwritten.
-  double valueGradHess(const Vector &Z, Vector &Grad, Matrix *Hess,
-                       Vector &E) const {
-    const std::size_t K = Rows.rows(), N = Rows.cols();
-    assert(Z.size() == N && "LSE evaluated at the wrong dimension");
-    E.resize(K);
-    double Max = -std::numeric_limits<double>::infinity();
-    for (std::size_t T = 0; T < K; ++T) {
-      E[T] = kernels::dot(Rows.row(T), Z.data(), N) + Offsets[T];
-      Max = std::max(Max, E[T]);
-    }
-    double Sum = kernels::expAccum(E.data(), K, Max);
-    Grad.assign(N, 0.0);
-    for (std::size_t T = 0; T < K; ++T)
-      kernels::axpy(Grad.data(), E[T] / Sum, Rows.row(T), N);
-    if (Hess) {
-      Hess->reset(N, N);
-      for (std::size_t T = 0; T < K; ++T)
-        kernels::gramAccum(Hess->data(), Rows.row(T), E[T] / Sum, N);
-      kernels::rank1Sub(Hess->data(), Grad.data(), N);
-    }
-    return Max + std::log(Sum);
+  /// True when row K's exponents and offset are all finite.
+  bool finite(std::size_t K) const {
+    const double *Row = Rows.row(K);
+    return std::isfinite(Offsets[K]) &&
+           std::all_of(Row, Row + Rows.cols(),
+                       [](double X) { return std::isfinite(X); });
+  }
+  bool finite() const {
+    for (std::size_t K = 0; K < size(); ++K)
+      if (!finite(K))
+        return false;
+    return true;
+  }
+
+  /// Out[k] = a_k . z + b_k for every row.
+  void values(const Vector &Z, double *Out) const {
+    assert(Z.size() == Rows.cols() && "rows evaluated at the wrong dimension");
+    kernels::rowDotsSparse(Out, Rows.data(), Rows.cols(), NzCols.data(),
+                           NzBegin.data(), size(), Z.data(), Offsets.data());
   }
 };
 
-/// Compiles \p Posy over the affine substitution y = Y0 + Z z.
-LseFunction compileLse(const Posynomial &Posy, const VarTable &Vars,
-                       const Vector &Y0, const Matrix &Z) {
+/// The terms of \p Posy, which must be a posynomial.
+std::vector<const Monomial *> termsOf(const Posynomial &Posy) {
   assert(Posy.isPosynomial() && "log transform requires a posynomial");
+  std::vector<const Monomial *> Terms;
+  for (const Monomial &M : Posy.monomials())
+    Terms.push_back(&M);
+  return Terms;
+}
+
+/// Compiles \p Monomials over the affine substitution y = Y0 + Z z: the
+/// reduced row a' = Z^T a and offset b' = ln c + a . y0 of each.
+SparseRows compileRows(const std::vector<const Monomial *> &Monomials,
+                       const VarTable &Vars, const Vector &Y0,
+                       const Matrix &Z) {
   const std::size_t Reduced = Z.cols();
-  const auto &Monomials = Posy.monomials();
-  LseFunction Lse;
-  Lse.Rows = Matrix(Monomials.size(), Reduced);
-  Lse.Offsets.assign(Monomials.size(), 0.0);
+  SparseRows R;
+  R.Rows = Matrix(Monomials.size(), Reduced);
+  R.Offsets.assign(Monomials.size(), 0.0);
+  R.NzBegin.push_back(0);
   Vector A(Vars.size(), 0.0);
   for (std::size_t K = 0; K < Monomials.size(); ++K) {
-    const Monomial &M = Monomials[K];
+    const Monomial &M = *Monomials[K];
     // Full-space exponent vector a over y.
     std::fill(A.begin(), A.end(), 0.0);
     for (const Monomial::Term &T : M.terms())
       A[T.Var] = T.Exp;
-    // Reduced row a' = Z^T a and offset b' = ln c + a . y0.
-    double *Row = Lse.Rows.row(K);
+    double *Row = R.Rows.row(K);
     for (std::size_t I = 0; I < Vars.size(); ++I)
       if (A[I] != 0.0)
         kernels::axpy(Row, A[I], Z.row(I), Reduced);
-    Lse.Offsets[K] = std::log(M.coefficient()) + dot(A, Y0);
+    R.Offsets[K] = std::log(M.coefficient()) + dot(A, Y0);
+    for (std::size_t J = 0; J < Reduced; ++J)
+      if (Row[J] != 0.0) {
+        R.NzCols.push_back(static_cast<unsigned>(J));
+        R.RowBound = std::max(R.RowBound, std::fabs(Row[J]));
+      }
+    R.NzBegin.push_back(static_cast<unsigned>(R.NzCols.size()));
   }
-  return Lse;
+  return R;
 }
+
+/// What the log-sum-exp of one term, Max + log(exp(0)), returns for
+/// the exponent \p V: V itself, and NaN unless V is finite. (It gave
+/// +0.0 for a -0.0; every caller tests G < 0 or subtracts a non-zero
+/// slack, so the sign of a zero is moot.)
+double affineValue(double V) {
+  return std::isfinite(V) ? V : std::numeric_limits<double>::quiet_NaN();
+}
+
+/// A log-sum-exp function over the reduced variables z:
+///   F(z) = log sum_k exp(A_k . z + B_k),
+/// precompiled from a posynomial of two or more terms.
+struct LseFunction {
+  SparseRows Terms;
+
+  /// Value only. \p E is exponent scratch, resized to the term count.
+  double value(const Vector &Z, Vector &E) const {
+    double Max = exponents(Z, E);
+    double Sum = kernels::expAccum(E.data(), E.size(), Max);
+    return Max + std::log(Sum);
+  }
+
+  /// Value, gradient, and the lower triangle of the Hessian (its strict
+  /// upper triangle is left zero). The Hessian of a log-sum-exp is
+  /// sum_k w_k a_k a_k^T - g g^T with softmax weights w. \p E is
+  /// exponent scratch; \p Grad / \p Hess are overwritten.
+  double valueGradHess(const Vector &Z, Vector &Grad, Matrix &Hess,
+                       Vector &E) const {
+    const std::size_t K = Terms.size(), N = Z.size();
+    double Max = exponents(Z, E);
+    double Sum = kernels::expAccum(E.data(), K, Max);
+    Grad.assign(N, 0.0);
+    for (std::size_t T = 0; T < K; ++T)
+      kernels::axpySparse(Grad.data(), E[T] / Sum, Terms.Rows.row(T),
+                          Terms.nz(T), Terms.numNz(T));
+    Hess.reset(N, N);
+    for (std::size_t T = 0; T < K; ++T)
+      kernels::gramAccumLowerSparse(Hess.data(), Terms.Rows.row(T),
+                                    Terms.nz(T), Terms.numNz(T), E[T] / Sum,
+                                    N);
+    kernels::rank1SubLower(Hess.data(), Grad.data(), N);
+    return Max + std::log(Sum);
+  }
+
+private:
+  /// Fills \p E with every exponent A_k . z + B_k; returns their maximum.
+  double exponents(const Vector &Z, Vector &E) const {
+    E.resize(Terms.size());
+    Terms.values(Z, E.data());
+    double Max = -std::numeric_limits<double>::infinity();
+    for (double X : E)
+      Max = std::max(Max, X);
+    return Max;
+  }
+};
 
 /// Per-solve scratch: every buffer the barrier-Newton loops need, sized
 /// once and reused so the hot path performs no per-iteration heap
@@ -120,23 +194,35 @@ LseFunction compileLse(const Posynomial &Posy, const VarTable &Vars,
 /// batched Cholesky (kernels::choleskySolveBatch4).
 struct SolverScratch {
   Vector E;              ///< LSE exponent buffer.
+  Vector AffineG;        ///< Affine constraint values, one per row.
+  Vector CurvedG;        ///< Multi-term constraint values.
   Vector Gz;             ///< Objective/constraint gradient.
   Matrix Hz;             ///< Objective/constraint Hessian.
   Vector Gw;             ///< Phase-one gradient with the slack lane.
+  std::vector<unsigned> GwNz; ///< Nonzero columns of an affine Gw.
   Vector Zs;             ///< Phase-one slice of W (drops the slack).
   Vector Grad;           ///< Barrier gradient.
-  Matrix Hess;           ///< Barrier Hessian.
+  Matrix Hess;           ///< Barrier Hessian (lower triangle).
   Vector NegGrad;        ///< Newton right-hand side.
   Vector Step;           ///< Newton direction.
   Vector Trial;          ///< Line-search trial point.
   Vector A4, B4, X4, S4; ///< Batched-Cholesky lane-interleaved buffers.
 };
 
-/// Barrier-method state shared by the two phases.
+/// Barrier-method state shared by the two phases. The constraints G_i
+/// are split by structure: a single-term one is affine in z, G = a.z + b,
+/// with a zero Hessian, and all of them share one SparseRows block.
 struct BarrierContext {
   LseFunction Objective;
-  std::vector<LseFunction> Constraints;
-  unsigned NewtonIterations = 0;
+  SparseRows Affine;               ///< One row per single-term constraint.
+  std::vector<LseFunction> Curved; ///< The multi-term constraints.
+  /// Constraint i in program order: row Index of Affine, or
+  /// Curved[Index].
+  struct Ref {
+    bool IsAffine;
+    std::size_t Index;
+  };
+  std::vector<Ref> Order;
 };
 
 /// One centering step: minimizes T * f(W) + Phi(W) where f is the phase
@@ -152,26 +238,32 @@ public:
   CenteringProblem(const BarrierContext &Ctx, bool PhaseOne)
       : Ctx(Ctx), PhaseOne(PhaseOne) {}
 
-  std::size_t dim(std::size_t ReducedDim) const {
-    return PhaseOne ? ReducedDim + 1 : ReducedDim;
-  }
-
-  /// Constraint value G_i(W) (including the -s offset in phase one).
-  double constraintValue(std::size_t I, const Vector &W,
-                         SolverScratch &S) const {
-    double G = Ctx.Constraints[I].value(sliceW(W, S), S.E);
-    return PhaseOne ? G - W.back() : G;
-  }
-
-  /// True if every constraint is strictly negative at W.
+  /// Fills S.AffineG and S.CurvedG with every constraint value G_i(W)
+  /// (including the -s offset in phase one), the affine ones first, and
+  /// returns false at the first one that is not strictly negative (NaN
+  /// included). A non-finite W is outside the domain, which keeps every
+  /// point the sparse kernels see finite.
   bool strictlyFeasible(const Vector &W, SolverScratch &S) const {
+    if (!allFinite(W))
+      return false;
     const Vector &Z = sliceW(W, S);
-    for (const LseFunction &C : Ctx.Constraints) {
-      double G = C.value(Z, S.E);
+    S.AffineG.resize(Ctx.Affine.size());
+    Ctx.Affine.values(Z, S.AffineG.data());
+    for (double &G : S.AffineG) {
+      G = affineValue(G);
       if (PhaseOne)
         G -= W.back();
-      if (G >= 0.0)
+      if (!(G < 0.0))
         return false;
+    }
+    S.CurvedG.resize(Ctx.Curved.size());
+    for (std::size_t I = 0; I < Ctx.Curved.size(); ++I) {
+      double G = Ctx.Curved[I].value(Z, S.E);
+      if (PhaseOne)
+        G -= W.back();
+      if (!(G < 0.0))
+        return false;
+      S.CurvedG[I] = G;
     }
     return true;
   }
@@ -183,24 +275,22 @@ public:
     return Ctx.Objective.value(W, S.E);
   }
 
-  /// Full barrier objective T*f + Phi; +inf outside the domain.
+  /// Full barrier objective T*f + Phi; +inf outside the domain, found
+  /// before any log is taken. Phi sums in program order.
   double barrierValue(double T, const Vector &W, SolverScratch &S) const {
+    if (!strictlyFeasible(W, S))
+      return std::numeric_limits<double>::infinity();
     double Phi = 0.0;
-    const Vector &Z = sliceW(W, S);
-    for (const LseFunction &C : Ctx.Constraints) {
-      double G = C.value(Z, S.E);
-      if (PhaseOne)
-        G -= W.back();
-      if (G >= 0.0)
-        return std::numeric_limits<double>::infinity();
-      Phi -= std::log(-G);
-    }
+    for (const BarrierContext::Ref &C : Ctx.Order)
+      Phi -= std::log(-(C.IsAffine ? S.AffineG[C.Index]
+                                   : S.CurvedG[C.Index]));
     return T * objectiveValue(W, S) + Phi;
   }
 
-  /// Gradient and Hessian of the barrier objective at strictly feasible W.
-  /// \p Grad / \p Hess are overwritten; the remaining scratch buffers of
-  /// \p S (E, Gz, Hz, Gw, Zs) are clobbered.
+  /// Gradient and Hessian (lower triangle) of the barrier objective at
+  /// strictly feasible W. \p Grad / \p Hess are overwritten; the
+  /// remaining scratch buffers of \p S (E, AffineG, Gz, Hz, Gw, GwNz, Zs)
+  /// are clobbered.
   void barrierDerivatives(double T, const Vector &W, Vector &Grad,
                           Matrix &Hess, SolverScratch &S) const {
     const std::size_t N = W.size();
@@ -211,36 +301,62 @@ public:
     if (PhaseOne) {
       Grad[N - 1] += T;
     } else {
-      Ctx.Objective.valueGradHess(W, S.Gz, &S.Hz, S.E);
+      Ctx.Objective.valueGradHess(W, S.Gz, S.Hz, S.E);
       kernels::axpy(Grad.data(), T, S.Gz.data(), N);
-      kernels::axpy(Hess.data(), T, S.Hz.data(), N * N);
+      kernels::axpyLower(Hess.data(), N, T, S.Hz.data(), N, N);
     }
 
-    // Barrier part: -sum log(-G_i).
+    // Barrier part: -sum log(-G_i), in program order.
     const Vector &Z = sliceW(W, S);
     const std::size_t Nz = Z.size();
-    for (const LseFunction &C : Ctx.Constraints) {
-      double Gv = C.valueGradHess(Z, S.Gz, &S.Hz, S.E);
+    S.AffineG.resize(Ctx.Affine.size());
+    Ctx.Affine.values(Z, S.AffineG.data());
+    for (const BarrierContext::Ref &C : Ctx.Order) {
+      // An affine constraint's gradient is its (sparse) row, and its
+      // Hessian is zero: the curvature term below would add exactly +0.0.
+      double Gv;
+      const double *Gw;
+      const unsigned *GwNz = nullptr;
+      std::size_t GwNumNz = 0;
+      if (C.IsAffine) {
+        Gv = affineValue(S.AffineG[C.Index]);
+        Gw = Ctx.Affine.Rows.row(C.Index);
+        GwNz = Ctx.Affine.nz(C.Index);
+        GwNumNz = Ctx.Affine.numNz(C.Index);
+      } else {
+        Gv = Ctx.Curved[C.Index].valueGradHess(Z, S.Gz, S.Hz, S.E);
+        Gw = S.Gz.data();
+      }
       // Extend the gradient with the slack coordinate in phase one.
-      const double *Gw = S.Gz.data();
       if (PhaseOne) {
         Gv -= W.back();
         S.Gw.resize(N);
-        std::copy(S.Gz.begin(), S.Gz.end(), S.Gw.begin());
+        std::copy(Gw, Gw + Nz, S.Gw.begin());
         S.Gw[N - 1] = -1.0;
         Gw = S.Gw.data();
+        if (GwNz) {
+          S.GwNz.assign(GwNz, GwNz + GwNumNz);
+          S.GwNz.push_back(static_cast<unsigned>(N - 1));
+          GwNz = S.GwNz.data();
+          ++GwNumNz;
+        }
       }
       assert(Gv < 0.0 && "barrier derivative requested outside the domain");
       double Inv = -1.0 / Gv; // 1 / (-G) > 0.
       double InvSq = Inv * Inv;
-      kernels::axpy(Grad.data(), Inv, Gw, N);
-      kernels::gramAccum(Hess.data(), Gw, InvSq, N);
+      // The sparse kernels skip products with a zero factor, which are
+      // +-0 only while InvSq * Gw[i] is finite for every i.
+      if (GwNz && std::isfinite(InvSq * Ctx.Affine.RowBound)) {
+        kernels::axpySparse(Grad.data(), Inv, Gw, GwNz, GwNumNz);
+        kernels::gramAccumLowerSparse(Hess.data(), Gw, GwNz, GwNumNz, InvSq,
+                                      N);
+      } else {
+        kernels::axpy(Grad.data(), Inv, Gw, N);
+        kernels::gramAccumLower(Hess.data(), Gw, InvSq, N);
+      }
       // Constraint curvature: (1/-G) * Hess(G); slack has no curvature.
-      if (Nz == N)
-        kernels::axpy(Hess.data(), Inv, S.Hz.data(), N * N);
-      else
-        for (std::size_t I = 0; I < Nz; ++I)
-          kernels::axpy(Hess.row(I), Inv, S.Hz.row(I), Nz);
+      if (!C.IsAffine)
+        kernels::axpyLower(Hess.data(), N, Inv, S.Hz.data(), Nz, Nz);
     }
   }
 
@@ -261,6 +377,7 @@ private:
 /// Damped-Newton minimization of the barrier objective at fixed T.
 /// Returns false on numerical breakdown. \p EarlyExit, when non-null,
 /// stops as soon as it returns true (used by phase one once s < -1e-7).
+/// \p EvalCounter counts barrier evaluations of the line search.
 /// \p Centred is set only when the loop stopped on its Newton-decrement
 /// test; an early exit, a stalled line search or the iteration cap
 /// leave it false.
@@ -271,12 +388,16 @@ private:
 /// lowest-lambda lane that factors wins — exactly the rung the
 /// sequential ladder would have picked, at a quarter of the kernel
 /// invocations (and with the typical all-rungs-fail-until-late Hessian
-/// resolved in one or two calls instead of up to twelve).
+/// resolved in one or two calls instead of up to twelve). Only the lower
+/// triangle is broadcast: it is all the factorization reads.
 bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
                   unsigned MaxIters, unsigned &IterCounter,
-                  bool (*EarlyExit)(const Vector &), SolverScratch &S,
-                  bool &Centred) {
+                  unsigned &EvalCounter, bool (*EarlyExit)(const Vector &),
+                  SolverScratch &S, bool &Centred) {
   Centred = false;
+  // Barrier value at W, evaluated in the first line search and then
+  // carried over from each accepted trial point, which becomes W.
+  double Base = std::numeric_limits<double>::quiet_NaN();
   for (unsigned Iter = 0; Iter < MaxIters; ++Iter) {
     if (EarlyExit && EarlyExit(W))
       return true;
@@ -301,13 +422,12 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
     bool Solved = false;
     double BatchLambda = 1e-10;
     for (int Batch = 0; Batch < 3 && !Solved; ++Batch) {
-      const double *H = S.Hess.data();
-      for (std::size_t I = 0; I < N * N; ++I) {
-        double V = H[I];
-        double *Slot = &S.A4[I * 4];
-        Slot[0] = Slot[1] = Slot[2] = Slot[3] = V;
-      }
       for (std::size_t I = 0; I < N; ++I) {
+        const double *H = S.Hess.row(I);
+        for (std::size_t J = 0; J <= I; ++J) {
+          double *Slot = &S.A4[(I * N + J) * 4];
+          Slot[0] = Slot[1] = Slot[2] = Slot[3] = H[J];
+        }
         double *Diag = &S.A4[(I * N + I) * 4];
         double Lambda = BatchLambda;
         for (int R = 0; R < 4; ++R) {
@@ -343,15 +463,20 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
     }
 
     // Backtracking line search with domain (feasibility) check.
-    double Base = Prob.barrierValue(T, W, S);
+    if (Iter == 0) {
+      Base = Prob.barrierValue(T, W, S);
+      ++EvalCounter;
+    }
     double Alpha = 1.0;
     bool Accepted = false;
     S.Trial.resize(N);
     for (int LsIter = 0; LsIter < 60; ++LsIter) {
       kernels::axpby(S.Trial.data(), W.data(), Alpha, S.Step.data(), N);
       double Val = Prob.barrierValue(T, S.Trial, S);
+      ++EvalCounter;
       if (Val <= Base - 1e-4 * Alpha * Decrement) {
         W.swap(S.Trial);
+        Base = Val;
         Accepted = true;
         break;
       }
@@ -365,8 +490,10 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
 
 /// The uninstrumented solve (the body of the public solveGp); the
 /// wrapper below records the per-solve outcome metrics in one place.
+/// \p BarrierEvals counts the line searches' barrier evaluations.
 GpSolution solveGpImpl(const GpProblem &Problem,
-                       const GpSolverOptions &Options) {
+                       const GpSolverOptions &Options,
+                       unsigned &BarrierEvals) {
   GpSolution Solution;
   const VarTable &Vars = Problem.variables();
   const std::size_t N = Vars.size();
@@ -401,16 +528,45 @@ GpSolution solveGpImpl(const GpProblem &Problem,
 
   // ---- Compile objective and constraints into reduced log-sum-exp form.
   BarrierContext Ctx;
-  Ctx.Objective = compileLse(Problem.objective(), Vars, Y0, Z);
+  Ctx.Objective.Terms = compileRows(termsOf(Problem.objective()), Vars, Y0, Z);
   if (Options.ObjectiveScale > 0.0 && Options.ObjectiveScale != 1.0) {
     // Minimize f/scale instead of f: same argmin, offsets recentred
     // near zero so exp() stays in range for huge coefficient spreads.
     const double LogScale = std::log(Options.ObjectiveScale);
-    for (std::size_t K = 0; K < Ctx.Objective.Offsets.size(); ++K)
-      Ctx.Objective.Offsets[K] -= LogScale;
+    for (double &Offset : Ctx.Objective.Terms.Offsets)
+      Offset -= LogScale;
   }
-  for (const GpProblem::Constraint &C : Problem.constraints())
-    Ctx.Constraints.push_back(compileLse(C.Lhs, Vars, Y0, Z));
+  std::vector<const Monomial *> AffineTerms;
+  for (const GpProblem::Constraint &C : Problem.constraints()) {
+    std::vector<const Monomial *> Terms = termsOf(C.Lhs);
+    if (Terms.size() == 1) {
+      Ctx.Order.push_back({true, AffineTerms.size()});
+      AffineTerms.push_back(Terms.front());
+    } else {
+      Ctx.Order.push_back({false, Ctx.Curved.size()});
+      Ctx.Curved.push_back({compileRows(Terms, Vars, Y0, Z)});
+    }
+  }
+  Ctx.Affine = compileRows(AffineTerms, Vars, Y0, Z);
+
+  // A coefficient that overflows on its way into log space (a bound of
+  // 1e-320 scales its posynomial by inf) makes every value it touches
+  // NaN. Refuse it here instead of letting it reach the barrier.
+  auto NonFinite = [&](const std::string &Where) {
+    Solution.Failure = "non-finite coefficient or exponent in " + Where +
+                       " after the log transform";
+    Solution.Outcome = SolveOutcome::NumericalBreakdown;
+    return Solution;
+  };
+  if (!Ctx.Objective.Terms.finite())
+    return NonFinite("the objective");
+  for (std::size_t I = 0; I < Ctx.Order.size(); ++I) {
+    const BarrierContext::Ref &C = Ctx.Order[I];
+    if (C.IsAffine ? !Ctx.Affine.finite(C.Index)
+                   : !Ctx.Curved[C.Index].Terms.finite())
+      return NonFinite("constraint '" + Problem.constraints()[I].Label +
+                       "'");
+  }
 
   const std::size_t Reduced = Z.cols();
   Vector ZVec(Reduced, 0.0);
@@ -449,6 +605,11 @@ GpSolution solveGpImpl(const GpProblem &Problem,
     for (std::size_t I = 0; I < Reduced; ++I)
       ZVec[I] += Options.StartPerturbation *
                  std::sin(static_cast<double>(I + 1));
+  if (!allFinite(ZVec)) {
+    Solution.Failure = "non-finite start point";
+    Solution.Outcome = SolveOutcome::NumericalBreakdown;
+    return Solution;
+  }
 
   auto recoverX = [&](const Vector &ZV) {
     Assignment X(N);
@@ -461,12 +622,17 @@ GpSolution solveGpImpl(const GpProblem &Problem,
   // ---- Phase I: find a strictly feasible point if needed.
   SolverScratch Scratch;
   CenteringProblem PhaseTwo(Ctx, /*PhaseOne=*/false);
-  if (!Ctx.Constraints.empty() && !PhaseTwo.strictlyFeasible(ZVec, Scratch)) {
+  if (!Ctx.Order.empty() && !PhaseTwo.strictlyFeasible(ZVec, Scratch)) {
+    telemetry::TraceScope PhaseSpan("solver.phase1");
     telemetry::count("solver.phase1.runs");
     CenteringProblem PhaseOne(Ctx, /*PhaseOne=*/true);
     double MaxG = -std::numeric_limits<double>::infinity();
-    for (const LseFunction &C : Ctx.Constraints)
-      MaxG = std::max(MaxG, C.value(ZVec, Scratch.E));
+    Scratch.AffineG.resize(Ctx.Affine.size());
+    Ctx.Affine.values(ZVec, Scratch.AffineG.data());
+    for (const BarrierContext::Ref &C : Ctx.Order)
+      MaxG = std::max(MaxG, C.IsAffine
+                                ? affineValue(Scratch.AffineG[C.Index])
+                                : Ctx.Curved[C.Index].value(ZVec, Scratch.E));
     Vector W = ZVec;
     W.push_back(MaxG + 1.0); // Strictly feasible for G_i - s < 0.
 
@@ -476,15 +642,15 @@ GpSolution solveGpImpl(const GpProblem &Problem,
     // slack is at least s - m/T; above zero, no strictly feasible point
     // exists.
     const double NumConstraints =
-        static_cast<double>(Ctx.Constraints.size());
+        static_cast<double>(Ctx.Order.size());
     unsigned OuterIters = 0;
     double T = Options.TInitial;
     for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
       ++OuterIters;
       bool Centred = false;
       if (!centerNewton(PhaseOne, T, W, Options.MaxNewtonIters,
-                        Solution.NewtonIterations, +FoundInterior, Scratch,
-                        Centred)) {
+                        Solution.NewtonIterations, BarrierEvals,
+                        +FoundInterior, Scratch, Centred)) {
         Solution.Failure = "numerical breakdown in phase I";
         Solution.Outcome = SolveOutcome::NumericalBreakdown;
         return Solution;
@@ -512,16 +678,17 @@ GpSolution solveGpImpl(const GpProblem &Problem,
   Solution.Feasible = true;
 
   // ---- Phase II: follow the central path.
+  telemetry::TraceScope PhaseSpan("solver.phase2");
   double T = Options.TInitial;
   unsigned OuterIters = 0;
   const double NumConstraints =
-      std::max<std::size_t>(Ctx.Constraints.size(), 1);
+      std::max<std::size_t>(Ctx.Order.size(), 1);
   for (unsigned Outer = 0; Outer < Options.MaxOuterIters; ++Outer) {
     ++OuterIters;
     bool Centred = false;
     if (!centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
-                      Solution.NewtonIterations, nullptr, Scratch,
-                      Centred)) {
+                      Solution.NewtonIterations, BarrierEvals, nullptr,
+                      Scratch, Centred)) {
       Solution.Failure = "numerical breakdown in phase II";
       Solution.Outcome = SolveOutcome::NumericalBreakdown;
       Solution.Values = recoverX(ZVec);
@@ -566,10 +733,12 @@ GpSolution solveGpImpl(const GpProblem &Problem,
 
 GpSolution thistle::solveGp(const GpProblem &Problem,
                             const GpSolverOptions &Options) {
-  GpSolution Solution = solveGpImpl(Problem, Options);
+  unsigned BarrierEvals = 0;
+  GpSolution Solution = solveGpImpl(Problem, Options, BarrierEvals);
   if (telemetry::metricsEnabled()) {
     telemetry::count("solver.solves");
     telemetry::count("solver.newton_iters", Solution.NewtonIterations);
+    telemetry::count("solver.line_search.evals", BarrierEvals);
     telemetry::observe("solver.newton_per_solve",
                        static_cast<double>(Solution.NewtonIterations));
     telemetry::count((std::string("solver.outcome.") +

@@ -186,26 +186,110 @@ TEST(SimdKernels, ExpAccumMatchesCanonicalOrderBitwise) {
   }
 }
 
-TEST(SimdKernels, GramAccumMatchesScalarLoopBitwise) {
-  for (std::size_t N : {0u, 1u, 3u, 4u, 7u, 16u, 33u}) {
+// The triangle kernels must match the naive loop on j <= i and leave
+// the strict upper triangle untouched.
+
+TEST(SimdKernels, GramAccumLowerMatchesScalarLoopBitwise) {
+  for (std::size_t N : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u}) {
     std::vector<double> H = randomVec(N * N, N + 700), HRef = H;
     std::vector<double> Row = randomVec(N, N + 800);
-    kernels::gramAccum(H.data(), Row.data(), 0.73, N);
+    kernels::gramAccumLower(H.data(), Row.data(), 0.73, N);
     for (std::size_t I = 0; I < N; ++I)
-      for (std::size_t J = 0; J < N; ++J)
+      for (std::size_t J = 0; J <= I; ++J)
         HRef[I * N + J] += (0.73 * Row[I]) * Row[J];
     EXPECT_EQ(H, HRef) << "size " << N;
   }
 }
 
-TEST(SimdKernels, Rank1SubMatchesScalarLoopBitwise) {
-  for (std::size_t N : {0u, 1u, 3u, 4u, 7u, 16u, 33u}) {
+TEST(SimdKernels, Rank1SubLowerMatchesScalarLoopBitwise) {
+  for (std::size_t N : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u}) {
     std::vector<double> H = randomVec(N * N, N + 900), HRef = H;
     std::vector<double> G = randomVec(N, N + 1000);
-    kernels::rank1Sub(H.data(), G.data(), N);
+    kernels::rank1SubLower(H.data(), G.data(), N);
     for (std::size_t I = 0; I < N; ++I)
-      for (std::size_t J = 0; J < N; ++J)
+      for (std::size_t J = 0; J <= I; ++J)
         HRef[I * N + J] -= G[I] * G[J];
+    EXPECT_EQ(H, HRef) << "size " << N;
+  }
+}
+
+TEST(SimdKernels, AxpyLowerMatchesScalarLoopBitwise) {
+  // Square strides, and the phase-I shape: an N x N block added into
+  // the leading block of an (N+1) x (N+1) matrix.
+  for (std::size_t N : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u})
+    for (std::size_t LdY : {N, N + 1}) {
+      std::vector<double> Y = randomVec(LdY * LdY, N + 1900), YRef = Y;
+      std::vector<double> X = randomVec(N * N, N + 2000);
+      kernels::axpyLower(Y.data(), LdY, -0.41, X.data(), N, N);
+      for (std::size_t I = 0; I < N; ++I)
+        for (std::size_t J = 0; J <= I; ++J)
+          YRef[I * LdY + J] += -0.41 * X[I * N + J];
+      EXPECT_EQ(Y, YRef) << "size " << N << " stride " << LdY;
+    }
+}
+
+// The sparse-row kernels against their dense twins: rows with about a
+// third of their entries nonzero (and some all-zero rows), finite
+// operands and accumulators free of -0.0, the conditions under which
+// the solver relies on them.
+
+/// K x N rows, zero outside a pseudo-random pattern; fills the pattern
+/// in the NzCols/NzBegin form the kernels take.
+std::vector<double> sparseRows(std::size_t K, std::size_t N,
+                               std::uint64_t Seed,
+                               std::vector<unsigned> &NzCols,
+                               std::vector<unsigned> &NzBegin) {
+  std::vector<double> A = randomVec(K * N, Seed);
+  std::vector<double> Keep = randomVec(K * N, Seed + 1);
+  NzCols.clear();
+  NzBegin.assign(1, 0);
+  for (std::size_t R = 0; R < K; ++R) {
+    for (std::size_t J = 0; J < N; ++J) {
+      if (R % 5 == 4 || Keep[R * N + J] > -0.33)
+        A[R * N + J] = 0.0;
+      else
+        NzCols.push_back(static_cast<unsigned>(J));
+    }
+    NzBegin.push_back(static_cast<unsigned>(NzCols.size()));
+  }
+  return A;
+}
+
+TEST(SimdKernels, RowDotsSparseMatchDenseDotBitwise) {
+  for (std::size_t N = 0; N <= 33; ++N) {
+    const std::size_t K = 7;
+    std::vector<unsigned> NzCols, NzBegin;
+    std::vector<double> A = sparseRows(K, N, N + 2100, NzCols, NzBegin);
+    std::vector<double> X = randomVec(N, N + 2200), B = randomVec(K, N + 2300);
+    std::vector<double> Out(K, 0.0);
+    kernels::rowDotsSparse(Out.data(), A.data(), N, NzCols.data(),
+                           NzBegin.data(), K, X.data(), B.data());
+    for (std::size_t R = 0; R < K; ++R)
+      EXPECT_EQ(Out[R], kernels::dot(A.data() + R * N, X.data(), N) + B[R])
+          << "size " << N << " row " << R;
+  }
+}
+
+TEST(SimdKernels, AxpySparseMatchesDenseAxpyBitwise) {
+  for (std::size_t N = 0; N <= 33; ++N) {
+    std::vector<unsigned> NzCols, NzBegin;
+    std::vector<double> X = sparseRows(1, N, N + 2400, NzCols, NzBegin);
+    std::vector<double> Y = randomVec(N, N + 2500), YRef = Y;
+    kernels::axpySparse(Y.data(), 0.59, X.data(), NzCols.data(),
+                        NzCols.size());
+    kernels::axpy(YRef.data(), 0.59, X.data(), N);
+    EXPECT_EQ(Y, YRef) << "size " << N;
+  }
+}
+
+TEST(SimdKernels, GramAccumLowerSparseMatchesDenseBitwise) {
+  for (std::size_t N : {0u, 1u, 3u, 4u, 5u, 7u, 8u, 9u, 16u, 33u}) {
+    std::vector<unsigned> NzCols, NzBegin;
+    std::vector<double> Row = sparseRows(1, N, N + 2600, NzCols, NzBegin);
+    std::vector<double> H = randomVec(N * N, N + 2700), HRef = H;
+    kernels::gramAccumLowerSparse(H.data(), Row.data(), NzCols.data(),
+                                  NzCols.size(), 1.37, N);
+    kernels::gramAccumLower(HRef.data(), Row.data(), 1.37, N);
     EXPECT_EQ(H, HRef) << "size " << N;
   }
 }

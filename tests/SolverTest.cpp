@@ -461,6 +461,190 @@ TEST(GpSolver, RetryStopsOnGenuineInfeasibility) {
   EXPECT_EQ(Report.attempts(), 1u);
 }
 
+TEST(GpSolver, NonFiniteCoefficientIsReportedNotAsserted) {
+  // x + 1/y <= 1e-320 is stored as (x + 1/y) / 1e-320 <= 1, whose
+  // coefficients overflow to inf. The constraint's value is then NaN
+  // everywhere; the solve must end with a classified failure instead of
+  // treating NaN as feasible and tripping the barrier's domain assert.
+  GpProblem Gp;
+  VarId X = Gp.addVariable("x");
+  VarId Y = Gp.addVariable("y");
+  Gp.addVariableBounds(X, 100.0);
+  Gp.addVariableBounds(Y, 100.0);
+  Posynomial Lhs(Monomial::variable(X));
+  Lhs += Signomial(Monomial::variable(Y, -1.0));
+  Gp.addUpperBound(Lhs, 1e-320, "tiny");
+  Gp.setObjective(Posynomial(Monomial::variable(X) * Monomial::variable(Y)));
+  GpSolution S = solveGp(Gp);
+  EXPECT_FALSE(S.Feasible);
+  EXPECT_EQ(S.Outcome, SolveOutcome::NumericalBreakdown);
+  EXPECT_EQ(S.Failure, "non-finite coefficient or exponent in constraint "
+                       "'tiny' after the log transform");
+  EXPECT_EQ(S.NewtonIterations, 0u);
+}
+
+TEST(GpSolver, NonFiniteStartPointIsReportedNotAsserted) {
+  // Every point the barrier evaluates must be finite; a start offset of
+  // inf is refused before phase I instead of reaching the kernels.
+  VarId X, Y;
+  GpProblem Gp = scaledCornerGp(X, Y, 1.0);
+  GpSolverOptions O;
+  O.StartPerturbation = std::numeric_limits<double>::infinity();
+  GpSolution S = solveGp(Gp, O);
+  EXPECT_FALSE(S.Feasible);
+  EXPECT_EQ(S.Outcome, SolveOutcome::NumericalBreakdown);
+  EXPECT_EQ(S.Failure, "non-finite start point");
+  EXPECT_EQ(S.NewtonIterations, 0u);
+}
+
+// ---- Bitwise trajectory pins ----------------------------------------------
+//
+// The barrier assembly has several exact shortcuts (affine constraints,
+// sparse rows, the lower-triangle Hessian, the feasibility-first line
+// search). These pins hold each solve's Newton count and a hash of the
+// bit patterns of its solution, recorded before the shortcuts existed,
+// so any change that moves a single bit of a solver trajectory fails
+// here.
+
+#include "ir/Builders.h"
+#include "thistle/GpBuilder.h"
+#include "thistle/Optimizer.h"
+#include "thistle/PairSweep.h"
+#include "thistle/PermutationSpace.h"
+#include "workloads/Workloads.h"
+
+#include <cstdint>
+#include <cstring>
+
+namespace {
+
+struct TrajectoryPin {
+  unsigned Newton;
+  std::uint64_t Hash;
+};
+
+bool operator==(const TrajectoryPin &A, const TrajectoryPin &B) {
+  return A.Newton == B.Newton && A.Hash == B.Hash;
+}
+
+std::ostream &operator<<(std::ostream &OS, const TrajectoryPin &P) {
+  return OS << "{" << P.Newton << "u, 0x" << std::hex << P.Hash << std::dec
+            << "ull}";
+}
+
+/// FNV-1a over the eight bytes of \p Word.
+void hashWord(std::uint64_t &Hash, std::uint64_t Word) {
+  for (int B = 0; B < 8; ++B) {
+    Hash ^= (Word >> (8 * B)) & 0xff;
+    Hash *= 0x100000001b3ull;
+  }
+}
+
+void hashSolution(std::uint64_t &Hash, const GpSolution &S) {
+  hashWord(Hash, static_cast<std::uint64_t>(S.Outcome));
+  for (double V : S.Values) {
+    std::uint64_t Bits;
+    std::memcpy(&Bits, &V, sizeof Bits);
+    hashWord(Hash, Bits);
+  }
+}
+
+constexpr std::uint64_t FnvBasis = 0xcbf29ce484222325ull;
+
+/// The GP of one ResNet-18 layer for its first and last permutation
+/// classes on Eyeriss (the representative GP of bench_ablation_solver).
+GpProblem resnetLayerGp(const ConvLayer &L, DesignMode Mode) {
+  Problem P = makeConvProblem(L);
+  GpBuildSpec Spec;
+  Spec.Mode = Mode;
+  for (unsigned I = 0; I < P.numIterators(); ++I) {
+    const Iterator &It = P.iterators()[I];
+    if (It.Extent > 1 && It.Name != "r" && It.Name != "s")
+      Spec.TiledIters.push_back(I);
+  }
+  std::vector<PermClass> Classes = enumeratePermClasses(P, Spec.TiledIters);
+  Spec.PePerm = Classes.front().Representative;
+  Spec.DramPerm = Classes.back().Representative;
+  Spec.Arch = eyerissArch();
+  Spec.AreaBudgetUm2 = eyerissAreaUm2(Spec.Tech);
+  return buildGp(P, Spec).Gp;
+}
+
+std::vector<TrajectoryPin> resnetTrajectories(DesignMode Mode) {
+  std::vector<TrajectoryPin> Pins;
+  for (const ConvLayer &L : resnet18Layers()) {
+    GpSolution S = solveGp(resnetLayerGp(L, Mode));
+    std::uint64_t Hash = FnvBasis;
+    hashSolution(Hash, S);
+    Pins.push_back({S.NewtonIterations, Hash});
+  }
+  return Pins;
+}
+
+} // namespace
+
+TEST(GpSolver, ResnetDataflowTrajectoriesArePinnedBitwise) {
+  const std::vector<TrajectoryPin> Expected = {
+      {77u, 0x33bd9377cd1bc350ull}, {80u, 0x724736183b02e4b1ull},
+      {77u, 0x2cc3dd7ffcc65359ull}, {94u, 0xd983fa2aacced297ull},
+      {95u, 0x40e969c59d0a4064ull}, {78u, 0x31f402029c57482eull},
+      {81u, 0x4426fa01238ab04eull}, {81u, 0xe5b73fbd6a2ce784ull},
+      {324u, 0xd1826d7145f11803ull}, {85u, 0x156ae8aa0bf95e49ull},
+      {77u, 0xe2e30effbedaba3aull}, {83u, 0x80b791763bf476f7ull}};
+  EXPECT_EQ(resnetTrajectories(DesignMode::DataflowOnly), Expected);
+}
+
+TEST(GpSolver, ResnetCodesignTrajectoriesArePinnedBitwise) {
+  const std::vector<TrajectoryPin> Expected = {
+      {90u, 0xd9e0a5da18f9ff14ull}, {79u, 0x30aac624300ebbbcull},
+      {73u, 0xab5728dbdfddcfbull}, {83u, 0xd1fc5e9647c3ddb8ull},
+      {80u, 0xb3c3328ceaf18ffeull}, {90u, 0xab7bf095a70c4e7dull},
+      {82u, 0xbade38801a04c76bull}, {69u, 0x23c09d0b30f06fd7ull},
+      {83u, 0x85c949d3817c5e55ull}, {94u, 0xc2e22e7bd5a4de79ull},
+      {74u, 0x2c3a703d42c6fbb5ull}, {329u, 0xbd82ad74d6221dbeull}};
+  EXPECT_EQ(resnetTrajectories(DesignMode::CoDesign), Expected);
+}
+
+TEST(GpSolver, FixedArchResnet1SweepIsPinnedBitwise) {
+  // thistle-opt --resnet 1 --pes 1178 --regs 8 --sram-words 65536: every
+  // pair's tight GP is infeasible (the phase-I certificate ends it) and
+  // its product-bound fallback is feasible. The solves replay the pair
+  // sweep's own sequence, so the total is the sweep's Newton count.
+  ThistleOptions Options;
+  ArchConfig Arch = eyerissArch();
+  Arch.NumPEs = 1178;
+  Arch.RegWordsPerPE = 8;
+  Arch.SramWords = 65536;
+  Problem P = makeConvProblem(resnet18Layers()[0]);
+  LayerSweepPlan Plan = planLayerSweep(P, Options);
+  unsigned Newton = 0, Infeasible = 0;
+  std::uint64_t Hash = FnvBasis;
+  for (const PairTask &Task : Plan.Pairs) {
+    GpBuildSpec Spec;
+    Spec.Mode = Options.Mode;
+    Spec.Objective = Options.Objective;
+    Spec.PePerm = Plan.Classes[Task.QI].Representative;
+    Spec.DramPerm = Plan.Classes[Task.SI].Representative;
+    Spec.TiledIters = Plan.TiledIters;
+    Spec.SpatialUntiled = Options.SpatialUntiled;
+    Spec.Arch = Arch;
+    for (HaloBound Halo :
+         {HaloBound::DropNegative, HaloBound::ProductOfTerms}) {
+      Spec.Halo = Halo;
+      GpSolution S = solveGpWithRetry(buildGp(P, Spec).Gp, Options.Solver);
+      Newton += S.NewtonIterations;
+      hashSolution(Hash, S);
+      if (S.Feasible)
+        break;
+      ++Infeasible;
+    }
+  }
+  EXPECT_EQ(Plan.Pairs.size(), 34u);
+  EXPECT_EQ(Infeasible, 34u);
+  EXPECT_EQ((TrajectoryPin{Newton, Hash}),
+            (TrajectoryPin{5056u, 0xe8877b634ab59869ull}));
+}
+
 #if THISTLE_FAULT_INJECTION_ENABLED
 
 namespace {
