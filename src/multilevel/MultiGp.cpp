@@ -230,9 +230,9 @@ MultiResult thistle::optimizeHierarchy(const Problem &Prob,
   std::size_t Combos = static_cast<std::size_t>(
       std::min<double>(TotalCombos, Options.MaxPermCombos));
 
-  // One shard-local accumulator of the combo sweep: the local winner plus
-  // the solver counters. Combos fold into these independently and the
-  // shards merge in combo order with a strict minimum, so the reduction
+  // One combo's result in the combo sweep: its winner plus the solver
+  // counters. Each combo folds into its own and the results merge in
+  // combo order with a strict minimum, so the reduction
   // reproduces the serial first-minimum winner at every thread count
   // (each combo's Tried budget is already per-combo, and the serial
   // incumbent never pruned later combos).
@@ -587,9 +587,9 @@ MultiResult thistle::optimizeHierarchy(const Problem &Prob,
   telemetry::count("multigp.sweeps");
   ThreadPool Pool(Options.Threads);
   ComboAcc Best = parallelReduce(
-      Pool, Combos, ComboAcc(),
+      Pool, Combos, ComboAcc(), ComboAcc(),
       [&](ComboAcc &Local, std::size_t Combo) { runCombo(Local, Combo); },
-      [](ComboAcc &Acc, ComboAcc &&Local) {
+      [](ComboAcc &Acc, std::size_t, ComboAcc &&Local) {
         Acc.CombosSolved += Local.CombosSolved;
         Acc.GpInfeasible += Local.GpInfeasible;
         Acc.Report.merge(std::move(Local.Report));

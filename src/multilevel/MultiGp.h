@@ -56,8 +56,8 @@ struct MultiOptions {
   /// Cap on integer candidates evaluated per rounded solution.
   std::size_t MaxMappingCandidates = 4000;
   /// Worker threads for the combo sweep (0 = one per hardware thread).
-  /// The result is bit-identical at every thread count: combos fold into
-  /// per-shard winners merged in combo order with a strict minimum.
+  /// The result is bit-identical at every thread count: each combo's
+  /// winner is merged in combo order with a strict minimum.
   unsigned Threads = 0;
   GpSolverOptions Solver;
   /// Wall-clock budget for the combo sweep (0 = unlimited); combos

@@ -374,13 +374,29 @@ private:
   bool PhaseOne;
 };
 
+/// Per-solve tallies of the centerings, reported once per solve.
+struct CenteringCounts {
+  /// Barrier evaluations of the line searches.
+  unsigned LineSearchEvals = 0;
+  /// Centerings ended because the Armijo test accepted a step that does
+  /// not lower the barrier value (see centerNewton).
+  unsigned Stalls = 0;
+};
+
 /// Damped-Newton minimization of the barrier objective at fixed T.
 /// Returns false on numerical breakdown. \p EarlyExit, when non-null,
 /// stops as soon as it returns true (used by phase one once s < -1e-7).
-/// \p EvalCounter counts barrier evaluations of the line search.
 /// \p Centred is set only when the loop stopped on its Newton-decrement
 /// test; an early exit, a stalled line search or the iteration cap
 /// leave it false.
+///
+/// The centering also ends, uncentred, when the Armijo test accepts a
+/// trial point whose barrier value is not strictly below the current
+/// one. At high T the decrement can sit just above its threshold while
+/// the predicted decrease 1e-4 * alpha * decrement is below the rounding
+/// unit of the barrier value, so the test passes on a point that is no
+/// better in double precision; every further step would repeat that at
+/// the cost of a full line search (Boyd & Vandenberghe 9.5, 11.3).
 ///
 /// The regularization ladder (12 rungs lambda = 1e-10 * 100^r) runs four
 /// rungs per lane-batched Cholesky call: the Hessian is broadcast into
@@ -392,7 +408,7 @@ private:
 /// triangle is broadcast: it is all the factorization reads.
 bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
                   unsigned MaxIters, unsigned &IterCounter,
-                  unsigned &EvalCounter, bool (*EarlyExit)(const Vector &),
+                  CenteringCounts &Counts, bool (*EarlyExit)(const Vector &),
                   SolverScratch &S, bool &Centred) {
   Centred = false;
   // Barrier value at W, evaluated in the first line search and then
@@ -465,7 +481,7 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
     // Backtracking line search with domain (feasibility) check.
     if (Iter == 0) {
       Base = Prob.barrierValue(T, W, S);
-      ++EvalCounter;
+      ++Counts.LineSearchEvals;
     }
     double Alpha = 1.0;
     bool Accepted = false;
@@ -473,8 +489,12 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
     for (int LsIter = 0; LsIter < 60; ++LsIter) {
       kernels::axpby(S.Trial.data(), W.data(), Alpha, S.Step.data(), N);
       double Val = Prob.barrierValue(T, S.Trial, S);
-      ++EvalCounter;
+      ++Counts.LineSearchEvals;
       if (Val <= Base - 1e-4 * Alpha * Decrement) {
+        if (!(Val < Base)) {
+          ++Counts.Stalls;
+          return true; // Stalled: no representable decrease at this T.
+        }
         W.swap(S.Trial);
         Base = Val;
         Accepted = true;
@@ -490,10 +510,10 @@ bool centerNewton(const CenteringProblem &Prob, double T, Vector &W,
 
 /// The uninstrumented solve (the body of the public solveGp); the
 /// wrapper below records the per-solve outcome metrics in one place.
-/// \p BarrierEvals counts the line searches' barrier evaluations.
+/// \p Counts tallies the centerings' line searches and stalls.
 GpSolution solveGpImpl(const GpProblem &Problem,
                        const GpSolverOptions &Options,
-                       unsigned &BarrierEvals) {
+                       CenteringCounts &Counts) {
   GpSolution Solution;
   const VarTable &Vars = Problem.variables();
   const std::size_t N = Vars.size();
@@ -649,7 +669,7 @@ GpSolution solveGpImpl(const GpProblem &Problem,
       ++OuterIters;
       bool Centred = false;
       if (!centerNewton(PhaseOne, T, W, Options.MaxNewtonIters,
-                        Solution.NewtonIterations, BarrierEvals,
+                        Solution.NewtonIterations, Counts,
                         +FoundInterior, Scratch, Centred)) {
         Solution.Failure = "numerical breakdown in phase I";
         Solution.Outcome = SolveOutcome::NumericalBreakdown;
@@ -687,7 +707,7 @@ GpSolution solveGpImpl(const GpProblem &Problem,
     ++OuterIters;
     bool Centred = false;
     if (!centerNewton(PhaseTwo, T, ZVec, Options.MaxNewtonIters,
-                      Solution.NewtonIterations, BarrierEvals, nullptr,
+                      Solution.NewtonIterations, Counts, nullptr,
                       Scratch, Centred)) {
       Solution.Failure = "numerical breakdown in phase II";
       Solution.Outcome = SolveOutcome::NumericalBreakdown;
@@ -733,12 +753,13 @@ GpSolution solveGpImpl(const GpProblem &Problem,
 
 GpSolution thistle::solveGp(const GpProblem &Problem,
                             const GpSolverOptions &Options) {
-  unsigned BarrierEvals = 0;
-  GpSolution Solution = solveGpImpl(Problem, Options, BarrierEvals);
+  CenteringCounts Counts;
+  GpSolution Solution = solveGpImpl(Problem, Options, Counts);
   if (telemetry::metricsEnabled()) {
     telemetry::count("solver.solves");
     telemetry::count("solver.newton_iters", Solution.NewtonIterations);
-    telemetry::count("solver.line_search.evals", BarrierEvals);
+    telemetry::count("solver.line_search.evals", Counts.LineSearchEvals);
+    telemetry::count("solver.center.stalls", Counts.Stalls);
     telemetry::observe("solver.newton_per_solve",
                        static_cast<double>(Solution.NewtonIterations));
     telemetry::count((std::string("solver.outcome.") +

@@ -14,9 +14,9 @@
 /// best of the completed ones and reports what it lost here, instead of
 /// aborting the run.
 ///
-/// Determinism: shard-local reports are merged in shard order over
-/// contiguous ascending task ranges, so counts and the incident list are
-/// in global task order and bit-identical at every worker count (when no
+/// Determinism: each task's report is merged in ascending task order
+/// (see parallelReduce), so counts and the incident list are in global
+/// task order and bit-identical at every worker count (when no
 /// wall-clock deadline fires).
 ///
 //===----------------------------------------------------------------------===//

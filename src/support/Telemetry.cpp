@@ -55,7 +55,7 @@ struct ThreadBuffer {
 struct GlobalState {
   std::atomic<int> LevelValue{static_cast<int>(Level::Off)};
   /// Sweep ordinal: bumped by beginEpoch() on the calling thread before
-  /// fan-out; the parallelFor barrier orders the bump against every
+  /// fan-out; the pool's task queue orders the bump against every
   /// worker span of the sweep, so a relaxed load is enough.
   std::atomic<std::uint64_t> Epoch{0};
   std::mutex Mutex;

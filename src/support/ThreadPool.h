@@ -7,12 +7,14 @@
 /// \file
 /// A small fixed-size worker pool plus the `parallelFor` / `parallelReduce`
 /// helpers the co-design engine fans out on. The design goal is *determinism
-/// under any worker count*: work is partitioned into contiguous shards,
-/// per-shard state never crosses a shard boundary, and reductions merge the
-/// shard accumulators in shard order on the calling thread. Any associative
-/// combine therefore yields a bit-identical result whether the pool has 1
-/// or 64 workers — callers (the perm-class pair sweep, the batched mapper)
-/// rely on this to keep search results independent of `--threads`.
+/// under any worker count*. `parallelFor` partitions the range into
+/// contiguous shards whose per-shard state never crosses a shard boundary
+/// (the batched mapper's slot-indexed loop). `parallelReduce` lets workers
+/// claim tasks dynamically, gives every task its own result and joins the
+/// results in ascending task order on the calling thread, so a reduction
+/// is bit-identical whether the pool has 1 or 64 workers, whatever the
+/// join — the pair, network and combo sweeps rely on this to keep search
+/// results independent of `--threads`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +22,13 @@
 #define THISTLE_SUPPORT_THREADPOOL_H
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -146,30 +150,103 @@ void parallelFor(ThreadPool &Pool, std::size_t N, BodyFn &&Body,
       std::rethrow_exception(E);
 }
 
-/// Folds [0, N) into per-shard copies of \p Init via `Fold(Local, Index)`
-/// and merges them in ascending shard order with `Join(Acc, std::move(
-/// Local))` on the calling thread. Shard boundaries vary with the worker
-/// count (and with \p Grain, see parallelFor), so \p Join must be
-/// associative for the result to be independent of them; sums, minima,
-/// and tie-broken arg-minima all qualify.
-template <typename AccT, typename FoldFn, typename JoinFn>
-AccT parallelReduce(ThreadPool &Pool, std::size_t N, AccT Init,
-                    FoldFn &&Fold, JoinFn &&Join, std::size_t Grain = 1) {
-  if (N == 0)
-    return Init;
-  const unsigned NumShards =
-      detail::numShardsFor(N, Pool.numWorkers(), Grain);
-  std::vector<AccT> Locals(NumShards, Init);
-  parallelFor(
-      Pool, N,
-      [&Locals, &Fold](std::size_t I, unsigned Shard) {
-        Fold(Locals[Shard], I);
-      },
-      Grain);
-  AccT Result = std::move(Locals[0]);
-  for (unsigned Shard = 1; Shard < NumShards; ++Shard)
-    Join(Result, std::move(Locals[Shard]));
-  return Result;
+/// Runs `Fold(Result, Index)` for every Index in [0, N), each on its own
+/// copy of \p Init, and joins the results into \p Acc with
+/// `Join(Acc, Index, std::move(Result))` on the calling thread in
+/// ascending Index order. Workers claim the next chunk of \p Grain
+/// consecutive indices from a shared counter whenever they are free, so
+/// one slow task holds up only the worker running it. Chunk boundaries
+/// depend on N and Grain alone, and the join order is fixed, so the result
+/// equals the sequential loop's at any worker count and under any
+/// schedule, whether or not Join is associative or commutative. A result
+/// finished ahead of its turn waits in memory until the calling thread
+/// joins and releases it. Fold runs on workers while Join runs on the
+/// caller, so the two must not touch the same state. If a task or a join
+/// throws, nothing after it is joined, and the exception of the lowest
+/// failing index is rethrown once every task has finished.
+template <typename AccT, typename ResultT, typename FoldFn, typename JoinFn>
+AccT parallelReduce(ThreadPool &Pool, std::size_t N, AccT Acc,
+                    const ResultT &Init, FoldFn &&Fold, JoinFn &&Join,
+                    std::size_t Grain = 1) {
+  const std::size_t ChunkSize = std::max<std::size_t>(Grain, 1);
+  const std::size_t Chunks = (N + ChunkSize - 1) / ChunkSize;
+  const unsigned Runners = static_cast<unsigned>(
+      std::min<std::size_t>(Pool.numWorkers(), Chunks));
+  if (Runners <= 1) {
+    for (std::size_t I = 0; I < N; ++I) {
+      ResultT Result = Init;
+      Fold(Result, I);
+      Join(Acc, I, std::move(Result));
+    }
+    return Acc;
+  }
+
+  struct Slot {
+    bool Done = false;
+    std::unique_ptr<ResultT> Result;
+    std::exception_ptr Error;
+  };
+  struct Sync {
+    std::atomic<std::size_t> NextChunk{0};
+    std::mutex M;
+    std::condition_variable Changed;
+    std::vector<Slot> Slots; ///< Guarded by M.
+    unsigned RunnersLeft;    ///< Guarded by M.
+  } S;
+  S.Slots.resize(N);
+  S.RunnersLeft = Runners;
+
+  for (unsigned R = 0; R < Runners; ++R) {
+    Pool.submit([&S, &Init, &Fold, N, ChunkSize, Chunks] {
+      for (;;) {
+        const std::size_t C = S.NextChunk.fetch_add(1);
+        if (C >= Chunks)
+          break;
+        const std::size_t End = std::min(N, (C + 1) * ChunkSize);
+        for (std::size_t I = C * ChunkSize; I < End; ++I) {
+          std::unique_ptr<ResultT> Result;
+          std::exception_ptr Error;
+          try {
+            Result = std::make_unique<ResultT>(Init);
+            Fold(*Result, I);
+          } catch (...) {
+            Result.reset();
+            Error = std::current_exception();
+          }
+          std::lock_guard<std::mutex> Lock(S.M);
+          S.Slots[I] = Slot{true, std::move(Result), std::move(Error)};
+          S.Changed.notify_one();
+        }
+      }
+      std::lock_guard<std::mutex> Lock(S.M);
+      if (--S.RunnersLeft == 0)
+        S.Changed.notify_one();
+    });
+  }
+
+  std::exception_ptr Error;
+  for (std::size_t I = 0; I < N; ++I) {
+    std::unique_ptr<ResultT> Result;
+    {
+      std::unique_lock<std::mutex> Lock(S.M);
+      S.Changed.wait(Lock, [&S, I] { return S.Slots[I].Done; });
+      Result = std::move(S.Slots[I].Result);
+      if (!Error)
+        Error = std::move(S.Slots[I].Error);
+    }
+    if (Error)
+      continue;
+    try {
+      Join(Acc, I, std::move(*Result));
+    } catch (...) {
+      Error = std::current_exception();
+    }
+  }
+  std::unique_lock<std::mutex> Lock(S.M);
+  S.Changed.wait(Lock, [&S] { return S.RunnersLeft == 0; });
+  if (Error)
+    std::rethrow_exception(Error);
+  return Acc;
 }
 
 } // namespace thistle

@@ -50,15 +50,10 @@ struct UniqueShape {
   std::size_t Multiplicity = 0;
 };
 
-/// The per-shape accumulators of one sweep phase. Cells are indexed by
-/// (cell, shape) and only merged cell-wise in shard order, so the phase
-/// result is bit-identical at every worker count.
+/// The per-shape accumulators of one sweep phase, indexed by (cell,
+/// shape). Each task's result is merged into its slot in ascending task
+/// order, so the phase result is bit-identical at every worker count.
 using PhaseAccumulator = std::vector<SweepAccumulator>;
-
-void joinPhaseAccumulators(PhaseAccumulator &A, PhaseAccumulator &&B) {
-  for (std::size_t I = 0; I < A.size(); ++I)
-    mergePairAccumulators(A[I], std::move(B[I]));
-}
 
 /// Maps a phase-global task index onto its shape via the prefix-sum
 /// offsets (Offsets.back() is the phase task total).
@@ -201,24 +196,29 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
       }
     if (Options.Cache)
       Options.Cache->beginGeneration();
+    // The (cell, shape) slot of a phase-global task index.
+    auto slotOf = [&](std::size_t TaskIdx) {
+      return TaskIdx / PhaseTasks * Shapes.size() +
+             shapeOfTask(Offsets, TaskIdx % PhaseTasks);
+    };
     return parallelReduce(
-        Pool, Cells * PhaseTasks,
-        PhaseAccumulator(Cells * Shapes.size()),
-        [&](PhaseAccumulator &Acc, std::size_t TaskIdx) {
-          const std::size_t Cell = TaskIdx / PhaseTasks;
-          const std::size_t Rem = TaskIdx % PhaseTasks;
+        Pool, Cells * PhaseTasks, PhaseAccumulator(Cells * Shapes.size()),
+        SweepAccumulator{},
+        [&](SweepAccumulator &Acc, std::size_t TaskIdx) {
           // The shard partition is a pure function of the global task
           // index (phase span base + cell + offset), so every shard of
           // every phase agrees on ownership without coordination.
           if (Options.ShardCount > 1 &&
-              (SpanBase + Cell * PhaseTasks + Rem) % Options.ShardCount !=
-                  Options.ShardIndex)
+              (SpanBase + TaskIdx) % Options.ShardCount != Options.ShardIndex)
             return;
-          const std::size_t S = shapeOfTask(Offsets, Rem);
-          runPairTask(Ctxs[Cell * Shapes.size() + S], Rem - Offsets[S],
-                      Acc[Cell * Shapes.size() + S]);
+          const std::size_t Slot = slotOf(TaskIdx);
+          const std::size_t FirstOfShape = Offsets[Slot % Shapes.size()];
+          runPairTask(Ctxs[Slot], TaskIdx % PhaseTasks - FirstOfShape, Acc);
         },
-        joinPhaseAccumulators);
+        [&](PhaseAccumulator &Acc, std::size_t TaskIdx,
+            SweepAccumulator &&Result) {
+          mergePairAccumulators(Acc[slotOf(TaskIdx)], std::move(Result));
+        });
   };
 
   // Harvests one phase cell into per-shape ThistleResults, folding the

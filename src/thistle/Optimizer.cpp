@@ -67,11 +67,11 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
     OwnPool.emplace(Options.Threads);
   ThreadPool &Pool = Run.Pool ? *Run.Pool : *OwnPool;
   SweepAccumulator Total = parallelReduce(
-      Pool, Plan.Pairs.size(), SweepAccumulator{},
+      Pool, Plan.Pairs.size(), SweepAccumulator{}, SweepAccumulator{},
       [&Ctx](SweepAccumulator &Acc, std::size_t TaskIdx) {
         runPairTask(Ctx, TaskIdx, Acc);
       },
-      [](SweepAccumulator &A, SweepAccumulator &&B) {
+      [](SweepAccumulator &A, std::size_t, SweepAccumulator &&B) {
         mergePairAccumulators(A, std::move(B));
       });
   if (telemetry::traceEnabled())

@@ -10,9 +10,9 @@
 /// into one global grid: the fixed sweep plan (enumeration, symmetry
 /// pruning, pair cap), the per-task solve chain (build -> retry-ladder
 /// solve -> halo fallback -> optional cached warm-start recovery ->
-/// extract -> round), the deterministic shard accumulator, and the
-/// result assembly. optimizeLayer is a thin wrapper around these pieces;
-/// their behavior on a single layer is bit-identical to the
+/// extract -> round), the per-task accumulator and its ordered merge,
+/// and the result assembly. optimizeLayer is a thin wrapper around these
+/// pieces; their behavior on a single layer is bit-identical to the
 /// pre-refactoring implementation.
 ///
 //===----------------------------------------------------------------------===//
@@ -60,9 +60,9 @@ std::vector<unsigned> tiledIterators(const Problem &Prob,
 LayerSweepPlan planLayerSweep(const Problem &Prob,
                               const ThistleOptions &Options);
 
-/// Per-shard sweep state: the best design seen by one worker plus its
-/// stat deltas. Shards never share state on the hot path; accumulators
-/// are merged in shard order once the sweep drains.
+/// Sweep state: the best design seen plus the stat deltas. Each pair
+/// task folds into its own accumulator, which never crosses threads on
+/// the hot path; the sweep merges them in ascending task order.
 struct SweepAccumulator {
   bool Found = false;
   double Obj = 0.0;
@@ -103,7 +103,7 @@ void runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
 bool pairWinsOver(double Obj, std::size_t QI, std::size_t SI,
                   const SweepAccumulator &Acc);
 
-/// Joins the next shard (ascending task order) into \p A.
+/// Joins the next task's accumulator (ascending task order) into \p A.
 void mergePairAccumulators(SweepAccumulator &A, SweepAccumulator &&B);
 
 /// Resolves the two deadline options into one absolute instant; false

@@ -112,7 +112,10 @@ bool refCholeskySolve(std::vector<double> A, std::size_t N,
       T[I * N + J] = A[J * N + I];
   for (std::size_t II = N; II > 0; --II) {
     std::size_t I = II - 1;
-    X[I] = (X[I] - refDot(&T[I * N + I + 1], &X[I + 1], N - I - 1)) /
+    // Pointer arithmetic, not operator[]: for I = N - 1 both operands
+    // point one past the end, with a length of zero.
+    X[I] = (X[I] - refDot(T.data() + I * N + I + 1, X.data() + I + 1,
+                          N - I - 1)) /
            T[I * N + I];
   }
   return true;

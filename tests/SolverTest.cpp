@@ -502,15 +502,17 @@ TEST(GpSolver, NonFiniteStartPointIsReportedNotAsserted) {
 // The barrier assembly has several exact shortcuts (affine constraints,
 // sparse rows, the lower-triangle Hessian, the feasibility-first line
 // search). These pins hold each solve's Newton count and a hash of the
-// bit patterns of its solution, recorded before the shortcuts existed,
-// so any change that moves a single bit of a solver trajectory fails
-// here.
+// bit patterns of its solution, recorded before the shortcuts existed
+// (and again when the centering's stall rule moved them), so any change
+// that moves a single bit of a solver trajectory fails here.
 
 #include "ir/Builders.h"
+#include "support/Telemetry.h"
 #include "thistle/GpBuilder.h"
 #include "thistle/Optimizer.h"
 #include "thistle/PairSweep.h"
 #include "thistle/PermutationSpace.h"
+#include "thistle/Rounding.h"
 #include "workloads/Workloads.h"
 
 #include <cstdint>
@@ -551,10 +553,9 @@ void hashSolution(std::uint64_t &Hash, const GpSolution &S) {
 
 constexpr std::uint64_t FnvBasis = 0xcbf29ce484222325ull;
 
-/// The GP of one ResNet-18 layer for its first and last permutation
+/// The GP spec of one ResNet-18 layer for its first and last permutation
 /// classes on Eyeriss (the representative GP of bench_ablation_solver).
-GpProblem resnetLayerGp(const ConvLayer &L, DesignMode Mode) {
-  Problem P = makeConvProblem(L);
+GpBuildSpec resnetLayerSpec(const Problem &P, DesignMode Mode) {
   GpBuildSpec Spec;
   Spec.Mode = Mode;
   for (unsigned I = 0; I < P.numIterators(); ++I) {
@@ -567,7 +568,12 @@ GpProblem resnetLayerGp(const ConvLayer &L, DesignMode Mode) {
   Spec.DramPerm = Classes.back().Representative;
   Spec.Arch = eyerissArch();
   Spec.AreaBudgetUm2 = eyerissAreaUm2(Spec.Tech);
-  return buildGp(P, Spec).Gp;
+  return Spec;
+}
+
+GpProblem resnetLayerGp(const ConvLayer &L, DesignMode Mode) {
+  Problem P = makeConvProblem(L);
+  return buildGp(P, resnetLayerSpec(P, Mode)).Gp;
 }
 
 std::vector<TrajectoryPin> resnetTrajectories(DesignMode Mode) {
@@ -585,23 +591,23 @@ std::vector<TrajectoryPin> resnetTrajectories(DesignMode Mode) {
 
 TEST(GpSolver, ResnetDataflowTrajectoriesArePinnedBitwise) {
   const std::vector<TrajectoryPin> Expected = {
-      {77u, 0x33bd9377cd1bc350ull}, {80u, 0x724736183b02e4b1ull},
-      {77u, 0x2cc3dd7ffcc65359ull}, {94u, 0xd983fa2aacced297ull},
-      {95u, 0x40e969c59d0a4064ull}, {78u, 0x31f402029c57482eull},
-      {81u, 0x4426fa01238ab04eull}, {81u, 0xe5b73fbd6a2ce784ull},
-      {324u, 0xd1826d7145f11803ull}, {85u, 0x156ae8aa0bf95e49ull},
-      {77u, 0xe2e30effbedaba3aull}, {83u, 0x80b791763bf476f7ull}};
+      {76u, 0xc28713e697e28661ull}, {77u, 0x43b86c9edbf41673ull},
+      {76u, 0x829520e066a8bfa1ull}, {78u, 0x2824bcd9af04dac1ull},
+      {82u, 0x881729d8b4d75311ull}, {77u, 0x1a1c10b4bf4bfb23ull},
+      {79u, 0x87c385cda4119028ull}, {72u, 0xe689245b1a128373ull},
+      {81u, 0x55e811aaa40d00dull}, {84u, 0x7c3e33b330897c93ull},
+      {76u, 0xbc30d13450b7cc62ull}, {82u, 0xf3cd4866709a5513ull}};
   EXPECT_EQ(resnetTrajectories(DesignMode::DataflowOnly), Expected);
 }
 
 TEST(GpSolver, ResnetCodesignTrajectoriesArePinnedBitwise) {
   const std::vector<TrajectoryPin> Expected = {
-      {90u, 0xd9e0a5da18f9ff14ull}, {79u, 0x30aac624300ebbbcull},
-      {73u, 0xab5728dbdfddcfbull}, {83u, 0xd1fc5e9647c3ddb8ull},
-      {80u, 0xb3c3328ceaf18ffeull}, {90u, 0xab7bf095a70c4e7dull},
-      {82u, 0xbade38801a04c76bull}, {69u, 0x23c09d0b30f06fd7ull},
-      {83u, 0x85c949d3817c5e55ull}, {94u, 0xc2e22e7bd5a4de79ull},
-      {74u, 0x2c3a703d42c6fbb5ull}, {329u, 0xbd82ad74d6221dbeull}};
+      {88u, 0x59afa100775c5eceull}, {79u, 0x30aac624300ebbbcull},
+      {73u, 0xab5728dbdfddcfbull}, {81u, 0x20eddc54787ca35ull},
+      {79u, 0x584dcc353fc71140ull}, {89u, 0x10775d1bdfe1f320ull},
+      {82u, 0xbade38801a04c76bull}, {67u, 0xf3c7ab8ae4dfda57ull},
+      {81u, 0xdf3df6d5e734c439ull}, {93u, 0x2e50f43bee20a49bull},
+      {73u, 0x2c75f6e69c5a9450ull}, {84u, 0x24d37f32109ffe16ull}};
   EXPECT_EQ(resnetTrajectories(DesignMode::CoDesign), Expected);
 }
 
@@ -642,7 +648,45 @@ TEST(GpSolver, FixedArchResnet1SweepIsPinnedBitwise) {
   EXPECT_EQ(Plan.Pairs.size(), 34u);
   EXPECT_EQ(Infeasible, 34u);
   EXPECT_EQ((TrajectoryPin{Newton, Hash}),
-            (TrajectoryPin{5056u, 0xe8877b634ab59869ull}));
+            (TrajectoryPin{4323u, 0x2a208114bd3612eaull}));
+}
+
+TEST(GpSolver, StalledCenteringEndsWithoutChangingTheDesign) {
+  // resnet-9's representative dataflow GP took 324 Newton steps before
+  // the stall rule: 250 of them at t = 6.4e7, each accepting a step whose
+  // barrier value equals the base to the last bit. The rule ends that
+  // centering; the solve must still converge and round to the design it
+  // rounded to before (recorded from the solver without the rule).
+  Problem P = makeConvProblem(resnet18Layers()[8]);
+  GpBuildSpec Spec = resnetLayerSpec(P, DesignMode::DataflowOnly);
+  GpBuild Build = buildGp(P, Spec);
+  telemetry::reset();
+  telemetry::setLevel(telemetry::Level::Metrics);
+  GpSolution S = solveGp(Build.Gp);
+  telemetry::Snapshot Snap = telemetry::snapshot();
+  telemetry::setLevel(telemetry::Level::Off);
+  telemetry::reset();
+
+  ASSERT_EQ(S.Outcome, SolveOutcome::Converged) << S.Failure;
+  EXPECT_LT(S.NewtonIterations, 120u);
+  if (telemetry::compiledIn()) {
+    std::uint64_t Stalls = 0;
+    for (const telemetry::CounterValue &C : Snap.Counters)
+      if (C.Name == "solver.center.stalls")
+        Stalls = C.Value;
+    EXPECT_GE(Stalls, 1u);
+  }
+
+  RoundedDesign D = roundSolution(P, Spec, extractSolution(P, Build, Spec, S),
+                                  RoundingOptions());
+  ASSERT_TRUE(D.Found);
+  EXPECT_EQ(D.Map.toString(P),
+            "  DRAM temporal: k=2 c=16  perm=<k,h,w,c,n,r,s>\n"
+            "  spatial      : k=2 c=16\n"
+            "  PE temporal  : k=64  perm=<h,w,c,k,n,r,s>\n"
+            "  register tile: r=3 s=3 h=14 w=14\n");
+  EXPECT_EQ(D.Eval.EnergyPj, 2531409340.4730163);
+  EXPECT_EQ(D.Eval.Cycles, 3612672.0);
 }
 
 #if THISTLE_FAULT_INJECTION_ENABLED

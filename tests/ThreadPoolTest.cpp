@@ -1,9 +1,11 @@
 //===- tests/ThreadPoolTest.cpp - support/ThreadPool tests ----------------===//
 //
 // Pool lifecycle, parallelFor range coverage and exception propagation,
-// and the determinism contract of parallelReduce: associative joins must
-// produce identical results at every worker count, because the co-design
-// engine's bit-reproducibility under --threads rests on exactly that.
+// and the contract of parallelReduce: results are joined in task order,
+// so any join, associative or not, gives identical results at every
+// worker count and grain, because the co-design engine's
+// bit-reproducibility under --threads rests on exactly that; and tasks
+// are claimed dynamically, so a busy worker does not hold up the rest.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,9 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -107,8 +113,8 @@ TEST(ParallelFor, PropagatesExceptionAndPoolSurvives) {
 TEST(ParallelReduce, EmptyRangeReturnsInit) {
   ThreadPool Pool(4);
   long Out = parallelReduce(
-      Pool, 0, 42L, [](long &, std::size_t) { FAIL(); },
-      [](long &, long &&) { FAIL(); });
+      Pool, 0, 42L, 0L, [](long &, std::size_t) { FAIL(); },
+      [](long &, std::size_t, long &&) { FAIL(); });
   EXPECT_EQ(Out, 42L);
 }
 
@@ -117,9 +123,11 @@ TEST(ParallelReduce, SumMatchesClosedFormAtAnyWorkerCount) {
   for (unsigned Workers : {1u, 2u, 8u}) {
     ThreadPool Pool(Workers);
     std::uint64_t Sum = parallelReduce(
-        Pool, N, std::uint64_t{0},
+        Pool, N, std::uint64_t{0}, std::uint64_t{0},
         [](std::uint64_t &Acc, std::size_t I) { Acc += I; },
-        [](std::uint64_t &Acc, std::uint64_t &&Local) { Acc += Local; });
+        [](std::uint64_t &Acc, std::size_t, std::uint64_t &&Local) {
+          Acc += Local;
+        });
     EXPECT_EQ(Sum, static_cast<std::uint64_t>(N) * (N - 1) / 2);
   }
 }
@@ -142,7 +150,7 @@ TEST(ParallelReduce, TieBrokenArgminIsWorkerCountInvariant) {
       B.Idx = I;
     }
   };
-  auto Join = [](Best &A, Best &&B) {
+  auto Join = [](Best &A, std::size_t, Best &&B) {
     if (B.Found &&
         (!A.Found || std::tie(B.Val, B.Idx) < std::tie(A.Val, A.Idx)))
       A = B;
@@ -152,9 +160,87 @@ TEST(ParallelReduce, TieBrokenArgminIsWorkerCountInvariant) {
     Fold(Reference, I);
   for (unsigned Workers : {1u, 2u, 8u}) {
     ThreadPool Pool(Workers);
-    Best Out = parallelReduce(Pool, N, Best{}, Fold, Join);
+    Best Out = parallelReduce(Pool, N, Best{}, Best{}, Fold, Join);
     ASSERT_TRUE(Out.Found);
     EXPECT_EQ(Out.Idx, Reference.Idx) << Workers << " workers";
     EXPECT_EQ(Out.Val, Reference.Val) << Workers << " workers";
   }
+}
+
+TEST(ParallelReduce, OrderSensitiveJoinSeesTasksInIndexOrder) {
+  // Appending to a string is neither commutative nor, across the comma,
+  // free of order: only an in-order join of the per-task results gives
+  // "0,1,...,N-1".
+  const std::size_t N = 50;
+  std::string Expected;
+  for (std::size_t I = 0; I < N; ++I)
+    Expected += (I ? "," : "") + std::to_string(I);
+  for (unsigned Workers : {1u, 2u, 3u, 4u})
+    for (std::size_t Grain : {std::size_t{1}, std::size_t{3}}) {
+      ThreadPool Pool(Workers);
+      std::string Out = parallelReduce(
+          Pool, N, std::string(), std::string(),
+          [](std::string &R, std::size_t I) { R = std::to_string(I); },
+          [](std::string &Acc, std::size_t I, std::string &&R) {
+            EXPECT_EQ(R, std::to_string(I));
+            Acc += (Acc.empty() ? "" : ",") + R;
+          },
+          Grain);
+      EXPECT_EQ(Out, Expected) << Workers << " workers, grain " << Grain;
+    }
+}
+
+TEST(ParallelReduce, IdleWorkerClaimsTheNextTask) {
+  // Task 0 of 4 blocks until task 1 has run. Two contiguous per-worker
+  // shards would put both on one worker and task 0 would time out;
+  // dynamic claiming hands task 1 to the second worker while the first
+  // is still busy.
+  ThreadPool Pool(2);
+  std::mutex M;
+  std::condition_variable Ran;
+  bool Task1Ran = false; // Guarded by M.
+  bool Task0SawTask1 = parallelReduce(
+      Pool, 4, false, false,
+      [&](bool &R, std::size_t I) {
+        std::unique_lock<std::mutex> Lock(M);
+        if (I == 1) {
+          Task1Ran = true;
+          Ran.notify_all();
+          return;
+        }
+        R = Ran.wait_for(Lock, std::chrono::seconds(5),
+                         [&] { return Task1Ran; });
+      },
+      [](bool &Acc, std::size_t I, bool &&R) {
+        if (I == 0)
+          Acc = R;
+      });
+  EXPECT_TRUE(Task0SawTask1);
+}
+
+TEST(ParallelReduce, RethrowsLowestFailingTaskAndPoolSurvives) {
+  ThreadPool Pool(4);
+  std::atomic<int> Folds{0};
+  try {
+    parallelReduce(
+        Pool, 100, 0, 0,
+        [&](int &, std::size_t I) {
+          ++Folds;
+          if (I == 37 || I == 80)
+            throw std::runtime_error("task " + std::to_string(I));
+        },
+        [](int &Acc, std::size_t I, int &&) {
+          EXPECT_LT(I, 37u) << "joined past the failing task";
+          ++Acc;
+        });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "task 37");
+  }
+  // Every task ran before the rethrow.
+  EXPECT_EQ(Folds.load(), 100);
+  int Joined = parallelReduce(
+      Pool, 10, 0, 0, [](int &, std::size_t) {},
+      [](int &Acc, std::size_t, int &&) { ++Acc; });
+  EXPECT_EQ(Joined, 10);
 }
