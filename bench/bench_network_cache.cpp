@@ -42,12 +42,10 @@ Measurement measure(const std::vector<ConvLayer> &Layers,
 
 void printRow(const char *Name, const Measurement &M) {
   const NetworkStats &S = M.Result.Stats;
-  std::printf("%-10s %6.2fs  %8.1f pairs/s  %5llu hits %5llu misses "
-              "%3llu warm starts\n",
+  std::printf("%-10s %6.2fs  %8.1f pairs/s  %5llu hits %5llu misses\n",
               Name, M.Seconds, S.PairsPlanned / M.Seconds,
               static_cast<unsigned long long>(S.CacheHits),
-              static_cast<unsigned long long>(S.CacheMisses),
-              static_cast<unsigned long long>(S.CacheWarmStarts));
+              static_cast<unsigned long long>(S.CacheMisses));
 }
 
 void writeJson(const char *Path, const Measurement &NoCache,
@@ -74,16 +72,14 @@ void writeJson(const char *Path, const Measurement &NoCache,
       "  \"cached_speedup\": %.3f,\n"
       "  \"cold_misses\": %llu,\n"
       "  \"cached_hits\": %llu,\n"
-      "  \"cached_misses\": %llu,\n"
-      "  \"warm_starts\": %llu\n"
+      "  \"cached_misses\": %llu\n"
       "}\n",
       S.LayersTotal, S.UniqueShapes, S.PairsPlanned, NoCache.Seconds,
       Cold.Seconds, Cached.Seconds, S.PairsPlanned / Cold.Seconds,
       S.PairsPlanned / Cached.Seconds, Cold.Seconds / Cached.Seconds,
       static_cast<unsigned long long>(S.CacheMisses),
       static_cast<unsigned long long>(Cached.Result.Stats.CacheHits),
-      static_cast<unsigned long long>(Cached.Result.Stats.CacheMisses),
-      static_cast<unsigned long long>(Cached.Result.Stats.CacheWarmStarts));
+      static_cast<unsigned long long>(Cached.Result.Stats.CacheMisses));
   std::fclose(F);
 }
 

@@ -163,22 +163,6 @@ void chainToFactors(const IterChain &Chain, unsigned L, unsigned F,
   Map.SpatialFactors[Iter] = Chain[F] / Chain[F - 1];
 }
 
-/// Resolves the relative/absolute deadline options into one instant;
-/// false when no deadline is configured.
-bool resolveDeadline(std::chrono::milliseconds Relative,
-                     std::chrono::steady_clock::time_point Absolute,
-                     std::chrono::steady_clock::time_point &Out) {
-  if (Absolute != std::chrono::steady_clock::time_point{}) {
-    Out = Absolute;
-    return true;
-  }
-  if (Relative.count() > 0) {
-    Out = std::chrono::steady_clock::now() + Relative;
-    return true;
-  }
-  return false;
-}
-
 } // namespace
 
 MultiResult thistle::optimizeHierarchy(const Problem &Prob,
@@ -250,7 +234,7 @@ MultiResult thistle::optimizeHierarchy(const Problem &Prob,
 
   std::chrono::steady_clock::time_point DeadlineAt;
   const bool HasDeadline =
-      resolveDeadline(Options.Deadline, Options.DeadlineAt, DeadlineAt);
+      resolveSweepDeadline(Options.Deadline, Options.DeadlineAt, DeadlineAt);
 
   // The build -> solve -> round -> evaluate chain of one combination;
   // runCombo below wraps it with the deadline/fault/exception guards.

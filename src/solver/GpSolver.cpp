@@ -590,35 +590,6 @@ GpSolution solveGpImpl(const GpProblem &Problem,
 
   const std::size_t Reduced = Z.cols();
   Vector ZVec(Reduced, 0.0);
-  if (Options.InitialPoint.size() == N && Reduced > 0) {
-    // Warm start: project log(InitialPoint) onto the equality subspace,
-    //   z* = argmin_z || Y0 + Z z - log(x) ||_2
-    // via the normal equations (Z^T Z) z = Z^T (log(x) - Y0). Z has full
-    // column rank by construction, so Z^T Z is SPD. A degenerate point
-    // (non-positive, non-finite) or a Cholesky failure keeps the classic
-    // zero start; the warm start is an accelerator, never a requirement.
-    bool Usable = true;
-    for (double X : Options.InitialPoint)
-      if (!(X > 0.0) || !std::isfinite(X))
-        Usable = false;
-    if (Usable) {
-      Vector Residual(N, 0.0);
-      for (std::size_t I = 0; I < N; ++I)
-        Residual[I] = std::log(Options.InitialPoint[I]) - Y0[I];
-      Vector Rhs = Z.applyTransposed(Residual);
-      Matrix ZtZ(Reduced, Reduced);
-      for (std::size_t J = 0; J < Reduced; ++J)
-        for (std::size_t K = 0; K < Reduced; ++K) {
-          double Sum = 0.0;
-          for (std::size_t I = 0; I < N; ++I)
-            Sum += Z.at(I, J) * Z.at(I, K);
-          ZtZ.at(J, K) = Sum;
-        }
-      Vector ZStart;
-      if (choleskySolve(std::move(ZtZ), Rhs, ZStart))
-        ZVec = std::move(ZStart);
-    }
-  }
   if (Options.StartPerturbation != 0.0)
     // Deterministic start offset (stays on the equality subspace): the
     // retry ladder's way out of a pathological phase-I trajectory.

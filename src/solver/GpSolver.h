@@ -49,17 +49,6 @@ struct GpSolverOptions {
   /// Retry-ladder length (including the first attempt) used by
   /// solveGpWithRetry on retriable failures.
   unsigned MaxSolveAttempts = 3;
-  /// Optional warm-start point in x-space (one value per GP variable,
-  /// all strictly positive and finite). When its size matches the
-  /// problem's variable count, the solver seeds the barrier method from
-  /// the least-squares projection of log(x) onto the equality-eliminated
-  /// subspace instead of the origin; an already strictly feasible seed
-  /// skips phase I entirely. Used by the GP solution cache to restart a
-  /// failed solve from a structurally similar cached optimum. Empty
-  /// (default), mismatched or non-positive points fall back to the
-  /// classic start; StartPerturbation is applied on top either way, so
-  /// the retry ladder keeps its escape mechanism.
-  std::vector<double> InitialPoint;
 };
 
 /// How one solve ended, for retry and sweep-report classification.

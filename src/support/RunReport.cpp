@@ -167,8 +167,6 @@ void emitNetwork(Writer &W, const RunReportNetwork &N, bool Canonical) {
     W.value(N.CacheHits);
     W.key("cache_misses");
     W.value(N.CacheMisses);
-    W.key("cache_warm_starts");
-    W.value(N.CacheWarmStarts);
   }
   W.key("arch_candidates");
   W.value(N.ArchCandidates);
@@ -279,8 +277,6 @@ void emitServe(Writer &W, const RunReportServe &S) {
   W.value(S.CacheHits);
   W.key("cache_misses");
   W.value(S.CacheMisses);
-  W.key("cache_warm_starts");
-  W.value(S.CacheWarmStarts);
   W.key("cache_evictions");
   W.value(S.CacheEvictions);
   W.key("compactions");

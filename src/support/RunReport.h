@@ -56,7 +56,7 @@ struct RunReportNetwork {
   std::uint64_t LayersFound = 0;
   std::uint64_t UniqueShapes = 0;
   bool CacheEnabled = false;
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
   unsigned ArchCandidates = 0;
   double SummedObjective = 0.0;
   double TotalEnergyPj = 0.0;
@@ -130,7 +130,7 @@ struct RunReportServe {
   std::uint64_t Errors = 0;       ///< Error responses (bad JSON/request).
   std::uint64_t Deduplicated = 0; ///< Queries joined onto an in-flight solve.
   std::uint64_t Solves = 0;       ///< Solver-thread jobs actually run.
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
   std::uint64_t CacheEvictions = 0;
   std::uint64_t Compactions = 0; ///< Journal→snapshot compactions.
 };

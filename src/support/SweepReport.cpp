@@ -109,3 +109,18 @@ std::string SweepReport::toString(const char *TaskNoun) const {
   }
   return OS.str();
 }
+
+bool thistle::resolveSweepDeadline(
+    std::chrono::milliseconds Relative,
+    std::chrono::steady_clock::time_point Absolute,
+    std::chrono::steady_clock::time_point &Out) {
+  if (Absolute != std::chrono::steady_clock::time_point{}) {
+    Out = Absolute;
+    return true;
+  }
+  if (Relative.count() > 0) {
+    Out = std::chrono::steady_clock::now() + Relative;
+    return true;
+  }
+  return false;
+}

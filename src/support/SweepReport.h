@@ -24,6 +24,7 @@
 #ifndef THISTLE_SUPPORT_SWEEPREPORT_H
 #define THISTLE_SUPPORT_SWEEPREPORT_H
 
+#include <chrono>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -100,6 +101,13 @@ struct SweepReport {
   /// per incident ("  pair 7 (2,1): failed after 3 attempts: ...").
   std::string toString(const char *TaskNoun = "task") const;
 };
+
+/// Resolves a sweep's two deadline options into one absolute instant:
+/// \p Absolute when set, else now + \p Relative when positive. False
+/// when no deadline is configured.
+bool resolveSweepDeadline(std::chrono::milliseconds Relative,
+                          std::chrono::steady_clock::time_point Absolute,
+                          std::chrono::steady_clock::time_point &Out);
 
 } // namespace thistle
 

@@ -7,37 +7,18 @@
 /// \file
 /// A thread-safe cache of perm-class pair-task outcomes, shared across
 /// the layer sweeps of a network-level run (repeated ResNet-style blocks
-/// make many solves redundant). Two tiers:
+/// make many solves redundant). Entries are keyed on the full
+/// canonicalized task identity (layer shape, architecture, technology,
+/// perm-pair, mode/objective/options). A hit replays the recorded
+/// outcome — report record, stats deltas, rounded design — without
+/// building or solving the GP, so a cached sweep is bit-identical to a
+/// cold one, and an answer never depends on which queries came before.
 ///
-///  - *Exact* entries are keyed on the full canonicalized task identity
-///    (layer shape, architecture, technology, perm-pair, mode/objective/
-///    options). A hit replays the recorded outcome — report record,
-///    stats deltas, rounded design — without building or solving the GP,
-///    so a cached sweep is bit-identical to a cold one.
-///  - *Warm* entries are keyed on the structural identity only (iterator
-///    names, tensor skeleton, perms, mode/objective) and store the
-///    x-space optimum of a previously solved, structurally identical GP.
-///    They are consulted exclusively as a last-resort recovery rung when
-///    the cold solve chain yields no feasible iterate, seeding the
-///    barrier method via GpSolverOptions::InitialPoint. Because the warm
-///    rung only runs where the cold path already failed, a sweep with no
-///    failures stays bit-identical with the cache on or off.
-///
-/// Determinism under parallel fill: warm lookups only see entries frozen
-/// at a generation boundary (beginGeneration(), called by the network
-/// driver between phases), never entries raced in by sibling tasks of
-/// the current phase; where several exact entries share a warm key, the
-/// one with the lexicographically smallest exact key wins, independent
-/// of insertion order.
-///
-/// The exact tier is LRU-bounded (setCapacity; unbounded by default) and
-/// durable (docs/PERSISTENCE.md): saveSnapshotFile writes the whole tier
+/// The cache is LRU-bounded (setCapacity; unbounded by default) and
+/// durable (docs/PERSISTENCE.md): saveSnapshotFile writes every entry
 /// atomically, attachJournal appends every *new* insert at record
 /// granularity so entries survive SIGKILL, and loadFile replays either
-/// artifact back into the exact tier. Loaded entries never feed the warm
-/// tier directly — a replayed exact hit feeds it through feedWarmPending,
-/// exactly as the original solve did, so a resumed run's warm state
-/// evolves bit-identically to the uninterrupted run's.
+/// artifact back into the cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,31 +55,22 @@ struct GpCacheEntry {
   RoundedDesign Design;
   double Obj = 0.0;            ///< objectiveValue(Design.Eval, ...).
   double ModelObjective = 0.0; ///< Relaxed GP objective (pre-rounding).
-  /// x-space GP optimum (empty when no feasible iterate); the seed
-  /// served to warm lookups.
-  std::vector<double> Optimum;
 };
 
-/// The canonical cache keys of one pair task.
-struct GpCacheKeys {
-  std::string Exact; ///< Full task identity.
-  std::string Warm;  ///< Structural identity (extents/arch/tech erased).
-};
-
-/// Builds the canonical keys for one (problem, options, arch, pair)
+/// Builds the canonical cache key of one (problem, options, arch, pair)
 /// task. Layer names are deliberately excluded so identically shaped
 /// layers of different networks share entries.
-GpCacheKeys gpCacheKeys(const Problem &Prob, const ThistleOptions &Options,
-                        const ArchConfig &Arch, const TechParams &Tech,
-                        double AreaBudgetUm2,
-                        const std::vector<unsigned> &TiledIters,
-                        const std::vector<unsigned> &PePerm,
-                        const std::vector<unsigned> &DramPerm);
+std::string gpCacheKey(const Problem &Prob, const ThistleOptions &Options,
+                       const ArchConfig &Arch, const TechParams &Tech,
+                       double AreaBudgetUm2,
+                       const std::vector<unsigned> &TiledIters,
+                       const std::vector<unsigned> &PePerm,
+                       const std::vector<unsigned> &DramPerm);
 
 /// What loading durable cache state recovered (and what it could not).
 struct GpCachePersistStats {
   unsigned FilesLoaded = 0;        ///< Artifacts that contributed entries.
-  std::uint64_t EntriesLoaded = 0; ///< Entries restored to the exact tier.
+  std::uint64_t EntriesLoaded = 0; ///< Entries restored to the cache.
   std::uint64_t RecordsRead = 0;   ///< Journal records decoded.
   /// Artifacts detected damaged (bad magic, truncation, CRC mismatch,
   /// undecodable payload). Each adds a line to Problems; the load
@@ -107,59 +79,37 @@ struct GpCachePersistStats {
   std::vector<std::string> Problems;
 };
 
-/// Thread-safe two-tier GP solution cache. One instance may be shared
-/// across sequential optimizeNetwork calls to carry results between
-/// runs; concurrent sweeps sharing one instance are serialized on an
-/// internal mutex.
+/// Thread-safe GP solution cache. One instance may be shared across
+/// sequential optimizeNetwork calls to carry results between runs;
+/// concurrent sweeps sharing one instance are serialized on an internal
+/// mutex.
 class GpSolutionCache {
 public:
-  /// Exact lookup; counts a hit or a miss. On a hit copies the entry.
-  bool lookupExact(const std::string &Key, GpCacheEntry &Out);
+  /// Counts a hit or a miss. On a hit copies the entry.
+  bool lookup(const std::string &Key, GpCacheEntry &Out);
 
-  /// Inserts the finished task under both keys. The warm tier only
-  /// keeps entries with a non-empty Optimum; within the current
-  /// generation the candidate with the smallest exact key wins. New
-  /// entries are appended to the attached journal; when the exact tier
-  /// is at capacity, the least-recently-used entry is evicted first.
-  void insert(const std::string &Key, const std::string &WarmKey,
-              GpCacheEntry Entry);
+  /// Inserts the finished task. New entries are appended to the
+  /// attached journal; when the cache is at capacity, the
+  /// least-recently-used entry is evicted first.
+  void insert(const std::string &Key, GpCacheEntry Entry);
 
-  /// Feeds a replayed exact hit to the warm tier, with insert's
-  /// smallest-exact-key-wins rule. Called on the cache-hit path so a
-  /// run replaying loaded entries builds the same frozen warm state the
-  /// original (solving) run built.
-  void feedWarmPending(const std::string &Key, const std::string &WarmKey,
-                       const std::vector<double> &Optimum);
-
-  /// Warm lookup: the frozen (pre-generation) optimum for \p WarmKey.
-  /// Does not count into hits()/misses().
-  bool lookupWarm(const std::string &WarmKey,
-                  std::vector<double> &Out) const;
-
-  /// Counts one warm-start attempt (called by the task that uses one).
-  void noteWarmStart();
-
-  /// Freezes the warm entries inserted since the last call: they become
-  /// visible to lookupWarm. Called at phase boundaries so warm lookups
-  /// never observe a racing sibling task of the same phase.
-  void beginGeneration();
-
-  /// Bounds the exact tier to \p MaxEntries (0 = unbounded, the
-  /// default), evicting from the LRU end immediately if over. Eviction
-  /// never changes results — an evicted task re-solves, and solve and
-  /// replay are bit-identical by the exact-tier invariant.
+  /// Bounds the cache to \p MaxEntries (0 = unbounded, the default),
+  /// evicting from the LRU end immediately if over. Eviction never
+  /// changes results — an evicted task re-solves, and solve and replay
+  /// are bit-identical.
   void setCapacity(std::size_t MaxEntries);
   std::size_t capacity() const;
 
-  /// Writes the whole exact tier as one atomic snapshot (LRU-first, so
-  /// a sequential reload reconstructs the recency order).
+  /// Writes the whole cache as one atomic snapshot (LRU-first, so a
+  /// sequential reload reconstructs the recency order).
   Status saveSnapshotFile(const std::string &Path) const;
 
   /// Restores entries from a snapshot (*.snap) or journal (any other
-  /// suffix) into the exact tier. Existing keys win over loaded ones;
-  /// loaded entries are not re-journaled and never feed the warm tier.
-  /// Damage is accumulated into \p Stats, never thrown: a missing file
-  /// is skipped silently, a damaged one contributes its intact prefix.
+  /// suffix) into the cache. Existing keys win over loaded ones, and
+  /// loaded entries are not re-journaled. Damage is accumulated into
+  /// \p Stats, never thrown: a missing file is skipped silently, a
+  /// damaged one contributes its intact prefix, and a file of another
+  /// kind (including the older "gpcache" encoding) is rejected whole.
   void loadFile(const std::string &Path, GpCachePersistStats &Stats);
 
   /// Attaches an append-only journal: every subsequent *new* insert is
@@ -170,9 +120,9 @@ public:
   void detachJournal();
 
   /// Folds the journal into one snapshot: detaches the journal, writes
-  /// the exact tier to \p SnapPath, and removes \p JournalPath only if
-  /// the write succeeded — on failure the journal keeps every entry for
-  /// the next load. Returns the snapshot write's status.
+  /// the cache to \p SnapPath, and removes \p JournalPath only if the
+  /// write succeeded — on failure the journal keeps every entry for the
+  /// next load. Returns the snapshot write's status.
   Status compact(const std::string &SnapPath, const std::string &JournalPath);
   std::uint64_t journalAppendFailures() const {
     return JournalFailures.load();
@@ -180,42 +130,30 @@ public:
 
   std::uint64_t hits() const { return Hits.load(); }
   std::uint64_t misses() const { return Misses.load(); }
-  std::uint64_t warmStarts() const { return WarmStarts.load(); }
   std::uint64_t evictions() const { return Evictions.load(); }
   std::size_t size() const;
   void clear();
 
 private:
-  struct WarmSlot {
-    bool HasFrozen = false;
-    std::vector<double> Frozen;
-    bool HasPending = false;
-    std::string PendingSource; ///< Exact key of the pending candidate.
-    std::vector<double> Pending;
-  };
-  struct ExactSlot {
+  struct Slot {
     GpCacheEntry Entry;
-    std::string WarmKey; ///< Kept so snapshots can re-encode the entry.
     /// Position in Recency (front = most recently used).
     std::list<std::string>::iterator Where;
   };
 
-  /// Warm-pending update; Mutex must be held.
-  void feedWarmPendingLocked(const std::string &Key,
-                             const std::string &WarmKey,
-                             const std::vector<double> &Optimum);
-  /// Exact-tier insert with LRU bookkeeping; Mutex must be held.
-  /// Returns true when \p Key was new (existing keys win).
-  bool insertExactLocked(const std::string &Key,
-                         const std::string &WarmKey, GpCacheEntry Entry);
+  /// Insert with LRU bookkeeping; Mutex must be held. Returns true
+  /// when \p Key was new (existing keys win).
+  bool insertLocked(const std::string &Key, GpCacheEntry Entry);
+  /// Drops least-recently-used entries down to capacity; Mutex must be
+  /// held.
+  void evictLocked();
 
   mutable std::mutex Mutex;
-  std::unordered_map<std::string, ExactSlot> Exact;
-  std::list<std::string> Recency; ///< Exact keys, most recent first.
+  std::unordered_map<std::string, Slot> Entries;
+  std::list<std::string> Recency; ///< Keys, most recent first.
   std::size_t MaxEntries = 0;     ///< 0 = unbounded.
-  std::unordered_map<std::string, WarmSlot> Warm;
   persist::JournalWriter Journal;
-  std::atomic<std::uint64_t> Hits{0}, Misses{0}, WarmStarts{0};
+  std::atomic<std::uint64_t> Hits{0}, Misses{0};
   std::atomic<std::uint64_t> Evictions{0}, JournalFailures{0};
 };
 

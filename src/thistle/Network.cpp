@@ -194,8 +194,6 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
         Ctx.SpanIndexBase = SpanBase + Cell * PhaseTasks + Offsets[S];
         Ctxs.push_back(Ctx);
       }
-    if (Options.Cache)
-      Options.Cache->beginGeneration();
     // The (cell, shape) slot of a phase-global task index.
     auto slotOf = [&](std::size_t TaskIdx) {
       return TaskIdx / PhaseTasks * Shapes.size() +
@@ -229,7 +227,6 @@ NetworkResult thistle::optimizeNetwork(const std::vector<ConvLayer> &Layers,
       SweepAccumulator &Cur = Acc[Cell * Shapes.size() + S];
       Result.Stats.CacheHits += Cur.CacheHits;
       Result.Stats.CacheMisses += Cur.CacheMisses;
-      Result.Stats.CacheWarmStarts += Cur.CacheWarmStarts;
       finishLayerResult(Plans[S], std::move(Cur), ShapeResults[S]);
       Result.Report.merge(SweepReport(ShapeResults[S].Report));
     }
@@ -359,7 +356,6 @@ void thistle::fillNetworkReport(const NetworkResult &R, bool CacheEnabled,
   RR.Network.CacheEnabled = CacheEnabled;
   RR.Network.CacheHits = R.Stats.CacheHits;
   RR.Network.CacheMisses = R.Stats.CacheMisses;
-  RR.Network.CacheWarmStarts = R.Stats.CacheWarmStarts;
   RR.Network.ArchCandidates = R.Stats.ArchCandidates;
   RR.Network.SummedObjective = R.Totals.SummedObjective;
   RR.Network.TotalEnergyPj = R.Totals.EnergyPj;

@@ -15,8 +15,7 @@
 /// (objective, layer, QI, SI) reduction as the single-layer sweep, so
 /// results are bit-identical at every thread count. An optional
 /// GpSolutionCache (thistle/GpCache.h) carries solutions across runs:
-/// exact hits replay without solving, near misses warm-start the
-/// barrier method when a cold solve fails.
+/// hits replay without solving.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -106,7 +105,10 @@ struct NetworkStats {
   unsigned ArchCandidates = 0;
   /// This run's cache traffic (0 when no cache was supplied). The
   /// cache's own counters aggregate across runs instead.
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
+  /// Always 0: the cache has no warm-start tier. Kept because benchmark
+  /// code outside the library still reads it.
+  std::uint64_t CacheWarmStarts = 0;
 };
 
 /// One scored architecture candidate of the CoDesign selection phase.

@@ -57,11 +57,6 @@ ThistleResult thistle::optimizeLayer(const Problem &Prob,
   telemetry::beginEpoch();
   telemetry::TraceScope SweepSpan("thistle.optimize_layer");
   telemetry::count("thistle.sweeps");
-  // Freeze the warm tier at the sweep boundary, as the network driver
-  // does per phase: warm lookups during the sweep then only see entries
-  // from earlier sweeps, independent of task completion order.
-  if (Ctx.Cache)
-    Ctx.Cache->beginGeneration();
   std::optional<ThreadPool> OwnPool;
   if (!Run.Pool)
     OwnPool.emplace(Options.Threads);

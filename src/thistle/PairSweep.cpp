@@ -133,21 +133,6 @@ bool thistle::pairWinsOver(double Obj, std::size_t QI, std::size_t SI,
          std::tie(Obj, QI, SI) < std::tie(Acc.Obj, Acc.QI, Acc.SI);
 }
 
-bool thistle::resolveSweepDeadline(
-    std::chrono::milliseconds Relative,
-    std::chrono::steady_clock::time_point Absolute,
-    std::chrono::steady_clock::time_point &Out) {
-  if (Absolute != std::chrono::steady_clock::time_point{}) {
-    Out = Absolute;
-    return true;
-  }
-  if (Relative.count() > 0) {
-    Out = std::chrono::steady_clock::now() + Relative;
-    return true;
-  }
-  return false;
-}
-
 void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
                           SweepAccumulator &Acc) {
   const LayerSweepPlan &Plan = Ctx.Plan;
@@ -170,29 +155,22 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
     return;
   }
 
-  // Exact cache hit: replay the recorded outcome and skip the solve.
+  // Cache hit: replay the recorded outcome and skip the solve.
   // Deadline- and fault-killed tasks never reach the insert below, so
   // what is replayed is always a genuinely computed outcome.
-  std::string ExactKey, WarmKey;
+  std::string Key;
   if (Ctx.Cache) {
-    GpCacheKeys Keys = gpCacheKeys(
-        Ctx.Prob, Options, Ctx.Arch, Ctx.Tech, Ctx.AreaBudgetUm2,
-        Plan.TiledIters, Plan.Classes[Task.QI].Representative,
-        Plan.Classes[Task.SI].Representative);
-    ExactKey = std::move(Keys.Exact);
-    WarmKey = std::move(Keys.Warm);
+    Key = gpCacheKey(Ctx.Prob, Options, Ctx.Arch, Ctx.Tech,
+                     Ctx.AreaBudgetUm2, Plan.TiledIters,
+                     Plan.Classes[Task.QI].Representative,
+                     Plan.Classes[Task.SI].Representative);
     GpCacheEntry Hit;
-    if (Ctx.Cache->lookupExact(ExactKey, Hit)) {
+    if (Ctx.Cache->lookup(Key, Hit)) {
       ++Acc.CacheHits;
       telemetry::count("thistle.cache.hit");
       if (telemetry::traceEnabled())
         PairSpan.setDetail(std::string("cache-hit ") +
                            taskOutcomeName(Hit.Outcome));
-      // Replays must grow the warm tier exactly as the original solve
-      // did, or a run resumed from loaded entries would freeze
-      // different warm seeds than the uninterrupted run (the insert on
-      // the miss path is what fed the pending slot the first time).
-      Ctx.Cache->feedWarmPending(ExactKey, WarmKey, Hit.Optimum);
       replayCacheEntry(Hit, Task, TaskIdx, Acc);
       return;
     }
@@ -232,38 +210,6 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
       TaskNewton += Solution.NewtonIterations;
       Attempts += Fallback.attempts();
     }
-    if ((!Solution.Feasible ||
-         Solution.Outcome == SolveOutcome::NonFinite) &&
-        Ctx.Cache) {
-      // Last-resort warm-start rung: restart from the cached optimum of
-      // a structurally identical GP (a frozen-generation entry, so the
-      // outcome does not depend on sibling-task timing). Running only
-      // where the cold chain found nothing keeps clean sweeps
-      // bit-identical with the cache on or off.
-      std::vector<double> Seed;
-      if (Ctx.Cache->lookupWarm(WarmKey, Seed)) {
-        ++Acc.CacheWarmStarts;
-        Ctx.Cache->noteWarmStart();
-        telemetry::count("thistle.cache.warmstart");
-        GpSolverOptions WarmOpts = Options.Solver;
-        WarmOpts.InitialPoint = std::move(Seed);
-        Spec.Halo = HaloBound::DropNegative;
-        Build = buildGp(Ctx.Prob, Spec);
-        GpSolution WarmSol = solveGp(Build.Gp, WarmOpts);
-        TaskNewton += WarmSol.NewtonIterations;
-        ++Attempts;
-        if (!WarmSol.Feasible) {
-          Spec.Halo = HaloBound::ProductOfTerms;
-          Build = buildGp(Ctx.Prob, Spec);
-          WarmSol = solveGp(Build.Gp, WarmOpts);
-          TaskNewton += WarmSol.NewtonIterations;
-          ++Attempts;
-        }
-        if (WarmSol.Feasible &&
-            WarmSol.Outcome != SolveOutcome::NonFinite)
-          Solution = std::move(WarmSol);
-      }
-    }
     Acc.NewtonIterations += TaskNewton;
     Entry.NewtonIterations = TaskNewton;
     Entry.Attempts = Attempts;
@@ -287,7 +233,7 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
       if (telemetry::traceEnabled())
         PairSpan.setDetail(taskOutcomeName(Outcome));
       if (Ctx.Cache)
-        Ctx.Cache->insert(ExactKey, WarmKey, std::move(Entry));
+        Ctx.Cache->insert(Key, std::move(Entry));
       return;
     }
     // Feasible but not converged: accept the best iterate (as the
@@ -311,12 +257,11 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
     if (telemetry::metricsEnabled())
       telemetry::count("thistle.rounding.candidates",
                        Design.CandidatesTried);
-    Entry.Optimum.assign(Solution.Values.begin(), Solution.Values.end());
     Entry.ModelObjective = Real.Objective;
     if (!Design.Found) {
       Entry.Design = Design;
       if (Ctx.Cache)
-        Ctx.Cache->insert(ExactKey, WarmKey, std::move(Entry));
+        Ctx.Cache->insert(Key, std::move(Entry));
       return;
     }
 
@@ -329,7 +274,7 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
     Entry.Obj = Obj;
     Entry.Design = Design;
     if (Ctx.Cache)
-      Ctx.Cache->insert(ExactKey, WarmKey, std::move(Entry));
+      Ctx.Cache->insert(Key, std::move(Entry));
     if (pairWinsOver(Obj, Task.QI, Task.SI, Acc)) {
       Acc.Found = true;
       Acc.Obj = Obj;
@@ -351,7 +296,6 @@ void thistle::mergePairAccumulators(SweepAccumulator &A,
   A.CandidatesEvaluated += B.CandidatesEvaluated;
   A.CacheHits += B.CacheHits;
   A.CacheMisses += B.CacheMisses;
-  A.CacheWarmStarts += B.CacheWarmStarts;
   A.Report.merge(std::move(B.Report));
   if (B.Found && pairWinsOver(B.Obj, B.QI, B.SI, A)) {
     A.Found = true;
@@ -377,7 +321,6 @@ void thistle::finishLayerResult(const LayerSweepPlan &Plan,
   Result.Stats.CandidatesEvaluated = Total.CandidatesEvaluated;
   Result.Stats.CacheHits = Total.CacheHits;
   Result.Stats.CacheMisses = Total.CacheMisses;
-  Result.Stats.CacheWarmStarts = Total.CacheWarmStarts;
   Result.Report = std::move(Total.Report);
   // Capped pairs enumerate after the planned ones, so appending their
   // pre-recorded skips keeps the incident list in ascending task order.

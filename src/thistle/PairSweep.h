@@ -9,8 +9,7 @@
 /// network driver (thistle/Network.cpp) can fan the tasks of many layers
 /// into one global grid: the fixed sweep plan (enumeration, symmetry
 /// pruning, pair cap), the per-task solve chain (build -> retry-ladder
-/// solve -> halo fallback -> optional cached warm-start recovery ->
-/// extract -> round), the per-task accumulator and its ordered merge,
+/// solve -> halo fallback -> extract -> round), the per-task accumulator and its ordered merge,
 /// and the result assembly. optimizeLayer is a thin wrapper around these
 /// pieces; their behavior on a single layer is bit-identical to the
 /// pre-refactoring implementation.
@@ -72,7 +71,7 @@ struct SweepAccumulator {
   unsigned NewtonIterations = 0;
   unsigned GpInfeasible = 0;
   std::size_t CandidatesEvaluated = 0;
-  std::uint64_t CacheHits = 0, CacheMisses = 0, CacheWarmStarts = 0;
+  std::uint64_t CacheHits = 0, CacheMisses = 0;
   SweepReport Report;
 };
 
@@ -105,12 +104,6 @@ bool pairWinsOver(double Obj, std::size_t QI, std::size_t SI,
 
 /// Joins the next task's accumulator (ascending task order) into \p A.
 void mergePairAccumulators(SweepAccumulator &A, SweepAccumulator &&B);
-
-/// Resolves the two deadline options into one absolute instant; false
-/// when no deadline is configured.
-bool resolveSweepDeadline(std::chrono::milliseconds Relative,
-                          std::chrono::steady_clock::time_point Absolute,
-                          std::chrono::steady_clock::time_point &Out);
 
 /// Assembles a ThistleResult from a drained sweep: stats (PairsSolved
 /// derived from the report outcomes), the merged report including the

@@ -161,6 +161,49 @@ TEST(Network, CacheOnOffAndAcrossRunsBitIdentical) {
   }
 }
 
+TEST(Network, LayerAnswerDoesNotDependOnEarlierQueries) {
+  // ResNet-18 layer 2 on two-word register files: every pair is
+  // certified infeasible. Answering another layer first on the same
+  // cache must not change a byte of this answer — not the outcome, the
+  // per-incident attempt counts, nor the Newton work.
+  ConvLayer Layer;
+  for (const ConvLayer &L : resnet18Layers())
+    if (L.Name == "resnet-2")
+      Layer = L;
+  ASSERT_EQ(Layer.Name, "resnet-2");
+  const Problem Prob = makeConvProblem(Layer);
+  ArchConfig Tiny = eyerissArch();
+  Tiny.RegWordsPerPE = 2;
+  const TechParams Tech = TechParams::cgo45nm();
+  ThistleOptions Opts;
+
+  ThistleResult Alone = optimizeLayer(Prob, Tiny, Tech, Opts);
+
+  GpSolutionCache Cache;
+  LayerRunContext Run;
+  Run.Cache = &Cache;
+  ThistleResult Other =
+      optimizeLayer(makeConvProblem(conv("other", 16, 8, 14, 3)),
+                    eyerissArch(), Tech, Opts, Run);
+  ASSERT_TRUE(Other.Found);
+  ThistleResult After = optimizeLayer(Prob, Tiny, Tech, Opts, Run);
+
+  EXPECT_FALSE(Alone.Found);
+  EXPECT_EQ(After.Found, Alone.Found);
+  EXPECT_GT(Alone.Report.Infeasible, 0u);
+  EXPECT_EQ(After.Report.toString("pair"), Alone.Report.toString("pair"));
+  ASSERT_EQ(After.Report.Incidents.size(), Alone.Report.Incidents.size());
+  for (std::size_t I = 0; I < Alone.Report.Incidents.size(); ++I) {
+    const SweepIncident &A = After.Report.Incidents[I];
+    const SweepIncident &B = Alone.Report.Incidents[I];
+    EXPECT_EQ(A.Outcome, B.Outcome) << "incident " << I;
+    EXPECT_EQ(A.Attempts, B.Attempts) << "incident " << I;
+    EXPECT_EQ(A.Detail, B.Detail) << "incident " << I;
+  }
+  EXPECT_EQ(After.Stats.NewtonIterations, Alone.Stats.NewtonIterations);
+  EXPECT_EQ(After.Stats.GpInfeasible, Alone.Stats.GpInfeasible);
+}
+
 TEST(Network, ThreadCountDoesNotChangeResults) {
   NetworkOptions One = fastNetworkOptions();
   One.Layer.Threads = 1;
@@ -174,8 +217,8 @@ TEST(Network, ThreadCountDoesNotChangeResults) {
   ASSERT_TRUE(R8.Found);
   expectIdentical(R1, R8);
 
-  // And with a shared cache at 8 threads: the frozen-generation warm
-  // tier keeps parallel fills deterministic.
+  // And with a shared cache at 8 threads: a parallel fill replays
+  // nothing it has not solved, so the result is unchanged.
   GpSolutionCache Cache;
   Eight.Cache = &Cache;
   NetworkResult RC = optimizeNetwork(toyNetwork(), eyerissArch(),
@@ -367,7 +410,7 @@ TEST(NetworkPersist, DamagedArtifactsDegradeToColdStart) {
   std::string Bad = Dir + "/netpersist-bad.snap";
   {
     std::ofstream Out(Bad, std::ios::binary | std::ios::trunc);
-    Out << "bogus-format/9 snap gpcache 4 deadbeef\nXXXX";
+    Out << "bogus-format/9 snap gpcache2 4 deadbeef\nXXXX";
   }
   GpSolutionCache Cold;
   GpCachePersistStats Stats;
@@ -409,6 +452,80 @@ TEST(NetworkPersist, DamagedArtifactsDegradeToColdStart) {
   EXPECT_EQ(Rejects.size(), 0u);
   persist::removeFile(Bad);
   persist::removeFile(Flip);
+}
+
+TEST(NetworkPersist, OlderEncodingIsRejectedWhole) {
+  // Before entries lost their structural key and x-space optimum, cache
+  // files carried the kind "gpcache" and each entry those two extra
+  // fields. Such files must be refused whole, never half-decoded, and
+  // the run must start cold with unchanged results.
+  std::string Dir = ::testing::TempDir();
+  std::string Journal = Dir + "/netpersist-current.journal";
+  persist::removeFile(Journal);
+  GpSolutionCache Writer;
+  ASSERT_TRUE(Writer.attachJournal(Journal).isOk());
+  NetworkResult Baseline = runToy(&Writer);
+  ASSERT_TRUE(Baseline.Found);
+  Writer.detachJournal();
+  Expected<persist::JournalContents> Current =
+      persist::readJournalFile(Journal, "gpcache2");
+  ASSERT_TRUE(Current);
+  ASSERT_FALSE(Current.value().Records.empty());
+
+  // Re-encode each entry the older way: key, structural key, the fields
+  // kept today, then the optimum.
+  std::vector<std::string> Older;
+  for (const std::string &Record : Current.value().Records) {
+    persist::Decoder D(Record);
+    std::string Key;
+    ASSERT_TRUE(D.getString(Key));
+    persist::Encoder E;
+    E.putString(Key);
+    E.putString("it:n,k,c,");
+    std::string Bytes = E.takeBytes();
+    Bytes += Record.substr(Record.size() - D.remaining());
+    persist::Encoder Tail;
+    Tail.putU64(2);
+    Tail.putDouble(1.0);
+    Tail.putDouble(2.0);
+    Older.push_back(Bytes + Tail.takeBytes());
+  }
+  std::string OldSnap = Dir + "/netpersist-older.snap";
+  std::string OldJournal = Dir + "/netpersist-older.journal";
+  persist::removeFile(OldJournal);
+  std::string Payload;
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(OldJournal, "gpcache").isOk());
+    for (const std::string &Entry : Older) {
+      ASSERT_TRUE(W.append(Entry).isOk());
+      persist::Encoder Frame;
+      Frame.putString(Entry);
+      Payload += Frame.takeBytes();
+    }
+  }
+  ASSERT_TRUE(persist::writeSnapshotFile(OldSnap, "gpcache", Payload).isOk());
+
+  GpSolutionCache Cold;
+  GpCachePersistStats Stats;
+  Cold.loadFile(OldSnap, Stats);
+  Cold.loadFile(OldJournal, Stats);
+  EXPECT_EQ(Stats.FilesLoaded, 0u);
+  EXPECT_EQ(Stats.RecordsRead, 0u);
+  EXPECT_EQ(Stats.EntriesLoaded, 0u);
+  EXPECT_EQ(Stats.DataLoss, 2u);
+  ASSERT_EQ(Stats.Problems.size(), 2u);
+  for (const std::string &Problem : Stats.Problems)
+    EXPECT_NE(Problem.find("parse-error"), std::string::npos) << Problem;
+  EXPECT_EQ(Cold.size(), 0u);
+
+  NetworkResult Rerun = runToy(&Cold);
+  ASSERT_TRUE(Rerun.Found);
+  expectIdentical(Baseline, Rerun);
+  EXPECT_EQ(Rerun.Stats.CacheHits, 0u);
+  persist::removeFile(Journal);
+  persist::removeFile(OldSnap);
+  persist::removeFile(OldJournal);
 }
 
 namespace {

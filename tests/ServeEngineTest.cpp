@@ -172,7 +172,7 @@ TEST(ServeEngine, ColdHotAndReloadedAreByteIdentical) {
   }
   EXPECT_NE(Cold.find("\"status\":\"ok\""), std::string::npos) << Cold;
   EXPECT_EQ(deterministicPrefix(Cold), deterministicPrefix(Hot));
-  // The hot answer replayed from the exact tier: no misses.
+  // The hot answer replayed from the cache: no misses.
   EXPECT_GT(serverCacheCounter(Cold, "miss"), 0u);
   EXPECT_EQ(serverCacheCounter(Hot, "miss"), 0u);
   EXPECT_GT(serverCacheCounter(Hot, "hit"), 0u);
@@ -188,6 +188,35 @@ TEST(ServeEngine, ColdHotAndReloadedAreByteIdentical) {
     EXPECT_EQ(serverCacheCounter(Reloaded, "miss"), 0u);
     Engine.shutdown();
   }
+}
+
+TEST(ServeEngine, AnswerDoesNotDependOnEarlierQueries) {
+  // ResNet-18 layer 2 on two-word register files: no design, every pair
+  // certified infeasible. The answer is a pure function of the query,
+  // so an engine that answered another query first must return the same
+  // bytes as a fresh one.
+  const char *TinyRegs =
+      "{\"schema\":\"thistle-serve/1\",\"id\":2,\"query\":{\"workload\":"
+      "{\"resnet\":2},\"arch\":{\"pes\":168,\"regs\":2,"
+      "\"sram_words\":65536}}}";
+  std::string Fresh, After;
+  {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    Fresh = Engine.handleLine(TinyRegs);
+    Engine.shutdown();
+  }
+  {
+    ServeEngine Engine{ServeOptions{}};
+    ASSERT_TRUE(Engine.start().isOk());
+    std::string First = Engine.handleLine(LayerQuery);
+    EXPECT_NE(First.find("\"status\":\"ok\""), std::string::npos) << First;
+    After = Engine.handleLine(TinyRegs);
+    Engine.shutdown();
+  }
+  EXPECT_NE(Fresh.find("\"exit_code\":3"), std::string::npos) << Fresh;
+  EXPECT_NE(Fresh.find("\"attempts\":"), std::string::npos) << Fresh;
+  EXPECT_EQ(deterministicPrefix(Fresh), deterministicPrefix(After));
 }
 
 TEST(ServeEngine, ConcurrentIdenticalQueriesDedupToOneSolve) {

@@ -360,76 +360,6 @@ TEST(GpSolver, StartPerturbationStaysCorrect) {
   EXPECT_NEAR(S.Values[Y], 1.0, 1e-3);
 }
 
-TEST(GpSolver, WarmStartFromOptimumStaysCorrect) {
-  // Re-solving from a previous optimum must land on the same answer;
-  // the warm start is an accelerator, never a correctness knob, so the
-  // only contract is that the optimum is unchanged.
-  VarId X, Y;
-  GpProblem Gp = scaledCornerGp(X, Y, 1.0);
-  GpSolution Cold = solveGp(Gp);
-  ASSERT_TRUE(Cold.Feasible);
-  GpSolverOptions Options;
-  Options.InitialPoint = Cold.Values;
-  GpSolution Warm = solveGp(Gp, Options);
-  ASSERT_TRUE(Warm.Feasible);
-  EXPECT_TRUE(Warm.Converged);
-  EXPECT_NEAR(Warm.Values[X], Cold.Values[X], 1e-3);
-  EXPECT_NEAR(Warm.Values[Y], Cold.Values[Y], 1e-3);
-  EXPECT_NEAR(Warm.Objective, Cold.Objective, 1e-2);
-}
-
-TEST(GpSolver, WarmStartProjectsOntoEqualitySubspace) {
-  // x*y == 16 eliminates a dimension; the warm start must be projected
-  // onto the equality subspace, not taken verbatim. Seed from a point
-  // violating the equality and still expect the AM-GM optimum (4, 4).
-  GpProblem Gp;
-  VarId X = Gp.addVariable("x");
-  VarId Y = Gp.addVariable("y");
-  Gp.addVariableBounds(X, 1000.0);
-  Gp.addVariableBounds(Y, 1000.0);
-  Posynomial Obj;
-  Obj += Signomial(Monomial::variable(X));
-  Obj += Signomial(Monomial::variable(Y));
-  Gp.setObjective(Obj);
-  Gp.addEquality(Monomial::variable(X) * Monomial::variable(Y), 16.0,
-                 "x*y == 16");
-  GpSolverOptions Options;
-  Options.InitialPoint = {2.0, 100.0};
-  GpSolution S = solveGp(Gp, Options);
-  ASSERT_TRUE(S.Feasible);
-  EXPECT_TRUE(S.Converged);
-  EXPECT_NEAR(S.Values[X], 4.0, 1e-3);
-  EXPECT_NEAR(S.Values[Y], 4.0, 1e-3);
-  EXPECT_NEAR(S.Objective, 8.0, 1e-2);
-}
-
-TEST(GpSolver, DegenerateWarmStartFallsBackBitIdentically) {
-  // Wrong-size, non-positive, or non-finite warm starts are ignored:
-  // the solve must be bit-identical to a cold start, which is what lets
-  // the GP cache's warm tier degrade gracefully.
-  VarId X, Y;
-  GpProblem Gp = scaledCornerGp(X, Y, 2.0);
-  GpSolution Cold = solveGp(Gp);
-  ASSERT_TRUE(Cold.Feasible);
-  const std::vector<std::vector<double>> Degenerate = {
-      {1.0},                // wrong size
-      {1.0, 2.0, 3.0},      // wrong size
-      {0.0, 1.0},           // non-positive entry
-      {-1.0, 1.0},          // negative entry
-      {1.0, std::nan("")},  // non-finite entry
-  };
-  for (const std::vector<double> &Seed : Degenerate) {
-    GpSolverOptions Options;
-    Options.InitialPoint = Seed;
-    GpSolution S = solveGp(Gp, Options);
-    ASSERT_TRUE(S.Feasible);
-    EXPECT_EQ(S.Values[X], Cold.Values[X]);
-    EXPECT_EQ(S.Values[Y], Cold.Values[Y]);
-    EXPECT_EQ(S.Objective, Cold.Objective);
-    EXPECT_EQ(S.NewtonIterations, Cold.NewtonIterations);
-  }
-}
-
 TEST(GpSolver, RetryMatchesPlainSolveWhenFirstAttemptSucceeds) {
   VarId X, Y;
   GpProblem Gp = scaledCornerGp(X, Y, 3.0);

@@ -68,7 +68,7 @@ if(CHECK STREQUAL "handmade")
   # 1. A snapshot from some other (or future) format entirely.
   set(DIR ${WORK_DIR}/persist-badmagic)
   file(REMOVE_RECURSE ${DIR})
-  file(WRITE ${DIR}/gpcache.snap "bogus-format/9 snap gpcache 4 deadbeef\nXXXX")
+  file(WRITE ${DIR}/gpcache.snap "bogus-format/9 snap gpcache2 4 deadbeef\nXXXX")
   check_damaged("bad magic" ${DIR})
 
   # 2. A snapshot whose header promises more payload than the file holds
@@ -76,7 +76,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-truncated)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache 100 0b45a69c\nshort")
+    "thistle-snapshot/1 snap gpcache2 100 0b45a69c\nshort")
   check_damaged("truncated snapshot" ${DIR})
 
   # 3. A size-consistent snapshot whose payload fails the CRC (silent
@@ -84,7 +84,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-badcrc)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.snap
-    "thistle-snapshot/1 snap gpcache 4 00000000\nABCD")
+    "thistle-snapshot/1 snap gpcache2 4 00000000\nABCD")
   check_damaged("CRC mismatch" ${DIR})
 
   # 4. A journal with a valid header and a torn record: the (empty)
@@ -92,7 +92,7 @@ if(CHECK STREQUAL "handmade")
   set(DIR ${WORK_DIR}/persist-tornjournal)
   file(REMOVE_RECURSE ${DIR})
   file(WRITE ${DIR}/gpcache.journal
-    "thistle-snapshot/1 journal gpcache\nrec 50 0123abcd\nshort")
+    "thistle-snapshot/1 journal gpcache2\nrec 50 0123abcd\nshort")
   check_damaged("torn journal" ${DIR})
 
   # 5. An unusable cache directory is a usage error (exit 2), caught

@@ -1,8 +1,9 @@
 # End-to-end contract of the thistle-serve daemon (docs/SERVING.md):
 # answers to a query must be byte-identical whether served cold, hot
 # from the in-memory cache, reloaded from the durable snapshot after a
-# restart, or raced by identical concurrent clients — and must match
-# what a standalone thistle-opt run computes for the same problem.
+# restart, raced by identical concurrent clients, or asked after other
+# queries — and must match what a standalone thistle-opt run computes
+# for the same problem.
 # Invoked by ctest as:
 #   cmake -DSERVE=<thistle-serve> -DQUERY=<thistle-query>
 #         -DOPT=<thistle-opt> -DWORK_DIR=<dir>
@@ -20,6 +21,8 @@ file(REMOVE ${PORTFILE} ${PIDFILE})
 set(Q_LAYER "{\"schema\":\"thistle-serve/1\",\"id\":1,\"query\":{\"workload\":{\"layer\":[16,8,14,14,3,3]}}}")
 set(Q_NET "{\"schema\":\"thistle-serve/1\",\"id\":2,\"query\":{\"workload\":{\"network\":\"resnet18\"}}}")
 set(Q_DEADLINE "{\"schema\":\"thistle-serve/1\",\"id\":3,\"query\":{\"workload\":{\"layer\":[16,8,14,14,3,3]},\"deadline_ms\":1}}")
+# Two-word register files: no design, every pair certified infeasible.
+set(Q_TINY "{\"schema\":\"thistle-serve/1\",\"id\":4,\"query\":{\"workload\":{\"resnet\":2},\"arch\":{\"pes\":168,\"regs\":2,\"sram_words\":65536}}}")
 
 function(wait_for_file PATH WHAT)
   foreach(I RANGE 100)
@@ -45,10 +48,12 @@ function(wait_for_exit WHAT)
   message(FATAL_ERROR "timed out waiting for ${WHAT} to exit (pid ${PID})")
 endfunction()
 
+# Extra arguments are passed to the daemon.
 function(start_daemon REPORT LOG)
   file(REMOVE ${PORTFILE} ${PIDFILE})
+  string(JOIN " " EXTRA ${ARGN})
   execute_process(
-    COMMAND sh -c "'${SERVE}' --cache-dir '${DIR}' --threads 2 \
+    COMMAND sh -c "'${SERVE}' --cache-dir '${DIR}' --threads 2 ${EXTRA} \
 --port-file '${PORTFILE}' --trace-json '${REPORT}' \
 > '${LOG}' 2>&1 & echo $! > '${PIDFILE}'"
     RESULT_VARIABLE CODE)
@@ -224,13 +229,44 @@ run_query(${WORK_DIR}/serve-p2r2.jsonl --request "{\"cmd\":\"shutdown\"}")
 wait_for_exit("daemon (second lifetime)")
 wait_for_file(${WORK_DIR}/serve-report-2.json "second daemon run report")
 
-# 5. Schema-level checks: every captured response is a valid
+# 5. Order independence: one daemon answers the same query before and
+#    after another one. A one-entry cache evicts the first answer, so
+#    the second is solved again with the other query's entries around,
+#    and must still be byte-identical.
+set(DIR ${WORK_DIR}/serve-cache-order)
+file(REMOVE_RECURSE ${DIR})
+start_daemon(${WORK_DIR}/serve-report-3.json ${WORK_DIR}/serve-log-3.txt
+  --cache-capacity 1)
+run_query(${WORK_DIR}/serve-p3r1.jsonl --request ${Q_TINY})
+run_query(${WORK_DIR}/serve-p3r2.jsonl --request ${Q_LAYER})
+run_query(${WORK_DIR}/serve-p3r3.jsonl --request ${Q_TINY})
+run_query(${WORK_DIR}/serve-p3r4.jsonl --request "{\"cmd\":\"shutdown\"}")
+wait_for_exit("daemon (third lifetime)")
+wait_for_file(${WORK_DIR}/serve-report-3.json "third daemon run report")
+first_line(BEFORE ${WORK_DIR}/serve-p3r1.jsonl)
+first_line(AFTER ${WORK_DIR}/serve-p3r3.jsonl)
+if(NOT BEFORE MATCHES "\"status\":\"no-design\"")
+  message(FATAL_ERROR "two-word register query found a design\n${BEFORE}")
+endif()
+if(NOT AFTER MATCHES "\"miss\":[1-9]")
+  message(FATAL_ERROR "the repeated query was not solved again\n${AFTER}")
+endif()
+strip_server(BEFORE_CORE "${BEFORE}")
+strip_server(AFTER_CORE "${AFTER}")
+if(NOT BEFORE_CORE STREQUAL AFTER_CORE)
+  message(FATAL_ERROR
+    "an earlier query changed the answer\n"
+    "---- before ----\n${BEFORE_CORE}\n---- after ----\n${AFTER_CORE}")
+endif()
+
+# 6. Schema-level checks: every captured response is a valid
 #    thistle-serve/1 envelope, the embedded reports are byte-identical
 #    to the standalone thistle-opt run reports in the shared diff normal
 #    form, and the daemon's accounting reconciles with the responses.
 if(PYTHON)
   foreach(F serve-r1 serve-r2 serve-r3 serve-r4 serve-r5 serve-r6
-            serve-r7 serve-p2r1 serve-p2r2)
+            serve-r7 serve-p2r1 serve-p2r2 serve-p3r1 serve-p3r2
+            serve-p3r3 serve-p3r4)
     execute_process(
       COMMAND ${PYTHON} ${CHECKER} --serve ${WORK_DIR}/${F}.jsonl
       OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
@@ -284,5 +320,15 @@ if(PYTHON)
   if(NOT CODE EQUAL 0)
     message(FATAL_ERROR
       "second-lifetime accounting inconsistent:\n${OUT}\n${ERR}")
+  endif()
+  execute_process(
+    COMMAND ${PYTHON} ${CHECKER} --serve-consistency
+      ${WORK_DIR}/serve-report-3.json
+      ${WORK_DIR}/serve-p3r1.jsonl ${WORK_DIR}/serve-p3r2.jsonl
+      ${WORK_DIR}/serve-p3r3.jsonl ${WORK_DIR}/serve-p3r4.jsonl
+    OUTPUT_VARIABLE OUT ERROR_VARIABLE ERR RESULT_VARIABLE CODE)
+  if(NOT CODE EQUAL 0)
+    message(FATAL_ERROR
+      "third-lifetime accounting inconsistent:\n${OUT}\n${ERR}")
   endif()
 endif()

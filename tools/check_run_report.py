@@ -138,7 +138,6 @@ NETWORK_FIELDS = {
     "cache_enabled": bool,
     "cache_hits": int,
     "cache_misses": int,
-    "cache_warm_starts": int,
     "arch_candidates": int,
     "summed_objective": (int, float, type(None)),
     "totals": dict,
@@ -148,8 +147,7 @@ NETWORK_FIELDS = {
 # Dropped from the canonical projection embedded in thistle-serve/1
 # responses: the counters depend on whether the cache was cold or hot,
 # which must not leak into the served bytes.
-NETWORK_VOLATILE_FIELDS = ("cache_hits", "cache_misses",
-                           "cache_warm_starts")
+NETWORK_VOLATILE_FIELDS = ("cache_hits", "cache_misses")
 
 NETWORK_TOTALS_FIELDS = {
     "energy_pj": (int, float, type(None)),
@@ -195,7 +193,6 @@ SERVE_FIELDS = {
     "solves": int,
     "cache_hits": int,
     "cache_misses": int,
-    "cache_warm_starts": int,
     "cache_evictions": int,
     "compactions": int,
 }
@@ -217,7 +214,6 @@ SERVER_SECTION_FIELDS = {
 SERVER_CACHE_FIELDS = {
     "hit": int,
     "miss": int,
-    "warmstart": int,
     "evictions": int,
 }
 
@@ -515,9 +511,7 @@ def validate(report, embedded=False):
 CANONICAL_DROP_TOP = (
     "wall_seconds", "metrics", "trace", "persistence", "shards", "serve",
 )
-CANONICAL_DROP_NETWORK = (
-    "cache_hits", "cache_misses", "cache_warm_starts",
-)
+CANONICAL_DROP_NETWORK = ("cache_hits", "cache_misses")
 
 # Additionally dropped by --for-diff: which tool answered and at what
 # concurrency are not part of the answer.
@@ -628,7 +622,7 @@ def check_serve_consistency(report, envelopes):
     serve = report.get("serve")
     if not isinstance(serve, dict):
         return ["$.serve: shutdown report has no serve section"]
-    sums = {"hit": 0, "miss": 0, "warmstart": 0, "evictions": 0}
+    sums = {"hit": 0, "miss": 0, "evictions": 0}
     dedup = 0
     for _, env in envelopes:
         server = env.get("server")
@@ -645,7 +639,6 @@ def check_serve_consistency(report, envelopes):
     expected = {
         "hit": serve.get("cache_hits"),
         "miss": serve.get("cache_misses"),
-        "warmstart": serve.get("cache_warm_starts"),
         "evictions": serve.get("cache_evictions"),
     }
     for key, total in sums.items():

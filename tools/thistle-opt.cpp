@@ -369,11 +369,10 @@ int runNetwork(const std::vector<ConvLayer> &Layers,
               R.Totals.Cycles * 1e-3, R.Totals.EdpPjCycles,
               Partial.c_str());
   if (UseCache)
-    std::printf("cache: %llu hits, %llu misses, %llu warm starts "
+    std::printf("cache: %llu hits, %llu misses "
                 "(THISTLE_CACHE=off disables)\n",
                 static_cast<unsigned long long>(R.Stats.CacheHits),
-                static_cast<unsigned long long>(R.Stats.CacheMisses),
-                static_cast<unsigned long long>(R.Stats.CacheWarmStarts));
+                static_cast<unsigned long long>(R.Stats.CacheMisses));
 
   // Clean-exit compaction: the sweep finished, so fold the journal into
   // one atomic snapshot and drop the superseded artifacts. A failed
@@ -806,8 +805,7 @@ int main(int Argc, char **Argv) {
   if (!Network.empty()) {
     // The GP solution cache is on by default; THISTLE_CACHE=off (or 0)
     // disables it. The optimization result is bit-identical either way
-    // (the cache replays recorded outcomes; warm starts only run where
-    // a cold solve already failed).
+    // (the cache replays recorded outcomes).
     bool UseCache = true;
     if (const char *Env = std::getenv("THISTLE_CACHE"))
       UseCache = std::string(Env) != "off" && std::string(Env) != "0";
