@@ -33,7 +33,7 @@ const char *strategyName(MapperStrategy S) {
 void printStrategyTable() {
   TechParams Tech = TechParams::cgo45nm();
   ArchConfig Arch = eyerissArch();
-  EnergyModel Energy(Tech);
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, Tech);
   ConvLayer L = yolo9000Layers()[6];
   Problem P = makeConvProblem(L);
 
@@ -51,7 +51,7 @@ void printStrategyTable() {
       MOpts.Strategy = S;
       MOpts.MaxTrials = Budget;
       MOpts.VictoryCondition = Budget; // Let the budget dominate.
-      MapperResult M = searchMappings(P, Arch, Energy, MOpts);
+      MultiMapperResult M = searchMultiMappings(P, Machine, MOpts);
       Table.addRow({strategyName(S), std::to_string(Budget),
                     M.Found ? TablePrinter::formatDouble(
                                   M.BestEval.EnergyPerMacPj, 2)
@@ -68,13 +68,14 @@ void printStrategyTable() {
 
 void timeMapperStrategy(benchmark::State &State) {
   Problem P = makeConvProblem(yolo9000Layers()[6]);
-  EnergyModel Energy(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions O = mapperOptions(SearchObjective::Energy);
   O.Strategy = static_cast<MapperStrategy>(State.range(0));
   O.MaxTrials = 2000;
   O.VictoryCondition = 2000;
   for (auto _ : State)
-    benchmark::DoNotOptimize(searchMappings(P, eyerissArch(), Energy, O));
+    benchmark::DoNotOptimize(searchMultiMappings(P, Machine, O));
 }
 BENCHMARK(timeMapperStrategy)->Arg(0)->Arg(1)->Arg(2)->Unit(
     benchmark::kMillisecond);

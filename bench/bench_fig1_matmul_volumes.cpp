@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchCommon.h"
-#include "sim/TiledLoopSim.h"
+#include "multilevel/MultiSim.h"
 #include "support/TablePrinter.h"
 #include "thistle/ExprGen.h"
 #include "thistle/GpBuilder.h"
@@ -53,7 +53,8 @@ void printVolumeSweep() {
 
       TensorSymbolicModel MA = EG.buildTensorModel(1, PePerm, DramPerm);
       TensorSymbolicModel MB = EG.buildTensorModel(2, PePerm, DramPerm);
-      SimResult Oracle = simulateTiledNest(P, M);
+      MultiSimResult Oracle = simulateMultiNest(
+          P, Hierarchy::classic3Shape(), MultiMapping::fromMapping(P, M));
 
       double DvA = MA.DvDram.evaluate(A);
       double DvB = MB.DvDram.evaluate(A);
@@ -63,8 +64,8 @@ void printVolumeSweep() {
            TablePrinter::formatInt(N * N),
            TablePrinter::formatDouble(DvB, 0),
            TablePrinter::formatInt(N * N * N / Tile),
-           TablePrinter::formatInt(Oracle.PerTensor[1].DramToSram),
-           TablePrinter::formatInt(Oracle.PerTensor[2].DramToSram)});
+           TablePrinter::formatInt(Oracle.Loads[1][1]),
+           TablePrinter::formatInt(Oracle.Loads[1][2])});
     }
   }
   Table.print(std::cout);

@@ -23,7 +23,7 @@ namespace {
 void printFig4() {
   TechParams Tech = TechParams::cgo45nm();
   ArchConfig Arch = eyerissArch();
-  EnergyModel Energy(Tech);
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, Tech);
   ThistleOptions TOpts =
       thistleOptions(DesignMode::DataflowOnly, SearchObjective::Energy);
 
@@ -33,8 +33,8 @@ void printFig4() {
   unsigned Count = 0;
   for (const ConvLayer &L : allPaperLayers()) {
     Problem P = makeConvProblem(L);
-    MapperResult M = searchMappings(
-        P, Arch, Energy, mapperOptions(SearchObjective::Energy));
+    MultiMapperResult M = searchMultiMappings(
+        P, Machine, mapperOptions(SearchObjective::Energy));
     ThistleResult T = optimizeLayer(P, Arch, Tech, TOpts);
     std::string MapperCell = M.Found
         ? TablePrinter::formatDouble(M.BestEval.EnergyPerMacPj, 2)
@@ -71,10 +71,11 @@ BENCHMARK(timeThistleEnergyLayer)->Unit(benchmark::kMillisecond);
 
 void timeMapperEnergyLayer(benchmark::State &State) {
   Problem P = makeConvProblem(resnet18Layers()[1]);
-  EnergyModel Energy(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   for (auto _ : State)
-    benchmark::DoNotOptimize(searchMappings(
-        P, eyerissArch(), Energy, mapperOptions(SearchObjective::Energy)));
+    benchmark::DoNotOptimize(searchMultiMappings(
+        P, Machine, mapperOptions(SearchObjective::Energy)));
 }
 BENCHMARK(timeMapperEnergyLayer)->Unit(benchmark::kMillisecond);
 

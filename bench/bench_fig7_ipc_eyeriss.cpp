@@ -22,7 +22,7 @@ namespace {
 void printFig7() {
   TechParams Tech = TechParams::cgo45nm();
   ArchConfig Arch = eyerissArch();
-  EnergyModel Energy(Tech);
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, Tech);
   ThistleOptions TOpts =
       thistleOptions(DesignMode::DataflowOnly, SearchObjective::Delay);
 
@@ -32,8 +32,8 @@ void printFig7() {
   unsigned Count = 0;
   for (const ConvLayer &L : allPaperLayers()) {
     Problem P = makeConvProblem(L);
-    MapperResult M = searchMappings(P, Arch, Energy,
-                                    mapperOptions(SearchObjective::Delay));
+    MultiMapperResult M = searchMultiMappings(
+        P, Machine, mapperOptions(SearchObjective::Delay));
     ThistleResult T = optimizeLayer(P, Arch, Tech, TOpts);
     std::string MCell =
         M.Found ? TablePrinter::formatDouble(M.BestEval.MacIpc, 1)

@@ -55,22 +55,21 @@ Measurement measureSweep(const Problem &P, unsigned Threads) {
 }
 
 Measurement measureMapper(const Problem &P, unsigned Threads) {
-  TechParams Tech = TechParams::cgo45nm();
-  ArchConfig Arch = eyerissArch();
-  EnergyModel Energy(Tech);
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions Opts = mapperOptions(SearchObjective::Energy);
   Opts.MaxTrials = 8000;
   Opts.VictoryCondition = 8000; // Let the budget dominate the timing.
 
   Measurement M;
-  MapperResult Seq, Par;
+  MultiMapperResult Seq, Par;
   Opts.Threads = 1;
   M.Seconds1 =
-      minSecondsOfN(Reps, [&] { Seq = searchMappings(P, Arch, Energy, Opts); });
+      minSecondsOfN(Reps, [&] { Seq = searchMultiMappings(P, Machine, Opts); });
 
   Opts.Threads = Threads;
   M.SecondsN =
-      minSecondsOfN(Reps, [&] { Par = searchMappings(P, Arch, Energy, Opts); });
+      minSecondsOfN(Reps, [&] { Par = searchMultiMappings(P, Machine, Opts); });
 
   M.Units = Seq.Trials;
   if (Seq.Trials != Par.Trials ||

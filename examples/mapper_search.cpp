@@ -20,7 +20,7 @@ int main() {
   Problem Prob = makeConvProblem(Layer);
   TechParams Tech = TechParams::cgo45nm();
   ArchConfig Arch = eyerissArch();
-  EnergyModel Energy(Tech);
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, Tech);
 
   std::printf("layer %s on Eyeriss\n\n", Layer.Name.c_str());
 
@@ -32,7 +32,7 @@ int main() {
     MOpts.Objective = Obj;
     MOpts.MaxTrials = 20000;
     MOpts.VictoryCondition = 4000;
-    MapperResult M = searchMappings(Prob, Arch, Energy, MOpts);
+    MultiMapperResult M = searchMultiMappings(Prob, Machine, MOpts);
 
     ThistleOptions TOpts;
     TOpts.Objective = Obj;

@@ -2,7 +2,7 @@
 
 #include "codegen/TiledNest.h"
 
-#include "sim/TileWalk.h"
+#include "multilevel/TileWalk.h"
 
 #include <cassert>
 #include <sstream>

@@ -69,8 +69,8 @@ struct Hierarchy {
 
   /// The classic paper machine as a 3-level hierarchy: per-PE register
   /// file, shared SRAM, DRAM, with Eq. 4 access energies. Equivalent to
-  /// an ArchConfig — this is the default instantiation the fixed-depth
-  /// nestmodel/ and sim/ layers wrap the generic engine with.
+  /// an ArchConfig; every classic-machine evaluation, mapper search and
+  /// oracle walk runs the generic engine at this hierarchy.
   static Hierarchy classic3Level(const ArchConfig &Arch,
                                  const TechParams &Tech);
 
@@ -104,11 +104,6 @@ struct Hierarchy {
 /// names, an unbounded capacity ('-') anywhere but the outermost level,
 /// or a hierarchy that fails validate().
 Expected<Hierarchy> parseHierarchy(const std::string &Text);
-
-/// Bool-and-string wrapper around the Expected overload, kept for
-/// existing call sites. Returns false and sets \p Error on failure.
-bool parseHierarchy(const std::string &Text, Hierarchy &Out,
-                    std::string &Error);
 
 } // namespace thistle
 

@@ -7,6 +7,7 @@
 #include "support/MathUtil.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
+#include "thistle/ExprGen.h"
 #include "thistle/PermutationSpace.h"
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include <exception>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 using namespace thistle;
 
@@ -41,30 +43,9 @@ MultiVars internVars(const Problem &Prob, unsigned NumLevels,
   return V;
 }
 
-/// Level-0 footprint of one tensor over the t0 variables, with the
-/// halo arithmetic of section III-A.
-FactoredExpr levelZeroFootprint(const Problem &Prob, unsigned TensorIdx,
-                                const MultiVars &V) {
-  const Tensor &T = Prob.tensors()[TensorIdx];
-  FactoredExpr DF;
-  for (const DimRef &D : T.Dims) {
-    Signomial Extent;
-    std::int64_t StrideSum = 0;
-    for (const DimRef::Term &Term : D.Terms) {
-      Extent += Signomial(Monomial::variable(
-          V.T[0][Term.Iter], 1.0, static_cast<double>(Term.Stride)));
-      StrideSum += Term.Stride;
-    }
-    if (StrideSum != 1)
-      Extent += Signomial::constant(-static_cast<double>(StrideSum - 1));
-    DF.pushFactor(Extent);
-  }
-  return DF;
-}
-
 /// The symbolic model of one tensor on one hierarchy: footprints per
-/// level and volumes per boundary, chained with Algorithm 1 exactly as
-/// thistle/ExprGen does for the fixed depth.
+/// level and volumes per boundary, chained with thistle/ExprGen's
+/// Algorithm 1 walk.
 struct TensorChain {
   std::vector<FactoredExpr> DF; ///< Footprint at each level (post-walk).
   std::vector<FactoredExpr> DV; ///< Volume across each boundary.
@@ -81,7 +62,7 @@ TensorChain buildChain(const Problem &Prob, const Hierarchy &H,
   TensorChain Chain;
   Chain.DF.resize(L);
   Chain.DV.resize(H.numBoundaries());
-  Chain.DF[0] = levelZeroFootprint(Prob, TensorIdx, V);
+  Chain.DF[0] = ExprGen::levelZeroFootprint(T, V.T[0]);
 
   FactoredExpr DF = Chain.DF[0];
   for (unsigned Lv = 1; Lv < L; ++Lv) {
@@ -104,29 +85,10 @@ TensorChain buildChain(const Problem &Prob, const Hierarchy &H,
       }
 
     // Algorithm 1 at level Lv (inner-to-outer walk of its loops).
-    FactoredExpr DV = DF;
-    if (T.ReadWrite)
-      DV.multiplyPrefix(Monomial(2.0));
-    bool CanHoist = true;
-    const std::vector<unsigned> &Perm = Perms[Lv];
-    for (std::size_t Pos = Perm.size(); Pos > 0; --Pos) {
-      unsigned It = Perm[Pos - 1];
-      VarId LevelVar = V.T[Lv][It];
-      VarId PrevVar = V.T[Lv - 1][It];
-      Monomial Repl =
-          Monomial::variable(LevelVar) * Monomial::variable(PrevVar);
-      if (CanHoist) {
-        if (T.usesIter(It)) {
-          CanHoist = false;
-          DF = DF.substituted(PrevVar, Repl);
-          DV = DV.substituted(PrevVar, Repl);
-        }
-      } else {
-        if (T.usesIter(It))
-          DF = DF.substituted(PrevVar, Repl);
-        DV.multiplyPrefix(Monomial::variable(LevelVar));
-      }
-    }
+    LevelExprs Walk =
+        ExprGen::walkLevel(T, Perms[Lv], V.T[Lv], V.T[Lv - 1], DF);
+    DF = std::move(Walk.DF);
+    FactoredExpr &DV = Walk.DV;
 
     // Multipliers above the walked level and the spatial rules (see
     // MultiNestAnalysis): all trips of higher levels; all spatial trips
@@ -138,11 +100,14 @@ TensorChain buildChain(const Problem &Prob, const Hierarchy &H,
       for (unsigned I : TiledIters)
         DV.multiplyPrefix(Monomial::variable(V.P[I]));
     } else if (Lv == F) {
+      // Known delta (docs/HIERARCHY.md): DF was already lifted by p at
+      // this level, so the fan-out volume carries p twice; the
+      // evaluator counts it once.
       for (unsigned I : TiledIters)
         if (T.usesIter(I))
           DV.multiplyPrefix(Monomial::variable(V.P[I]));
     }
-    Chain.DV[Lv - 1] = DV;
+    Chain.DV[Lv - 1] = std::move(DV);
     Chain.DF[Lv] = DF;
   }
   return Chain;

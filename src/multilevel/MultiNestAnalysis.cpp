@@ -12,9 +12,8 @@ using namespace thistle;
 
 namespace {
 
-/// Result of the Algorithm-1 walk of one level for one tensor (shared
-/// with nestmodel's fixed-depth version in spirit; reimplemented here
-/// over the generic level structure).
+/// Result of the Algorithm-1 walk of one level for one tensor, over
+/// concrete trip counts.
 struct LevelWalk {
   std::int64_t Multiplier = 1;
   std::optional<unsigned> StreamIter;
@@ -88,7 +87,7 @@ MultiProfile thistle::analyzeMultiNest(const Problem &Prob,
   Profile.PEsUsed = Map.numPEsUsed();
 
   // Per-level tile extents and outer-trip products, hoisted out of the
-  // per-tensor loop: this is the hot path of the mapper wrappers.
+  // per-tensor loop: this is the hot path of the mapper and rounding.
   const std::vector<std::vector<std::int64_t>> Extents =
       Map.tileExtentsPerLevel(H);
   // OuterTrips[Lv] = product of every trip count of levels > Lv.

@@ -5,9 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The arbitrary-depth generalization of nestmodel/NestAnalysis: for each
-/// tensor and each adjacent-level boundary b (between level b and b+1),
-/// the words moved across it under the Algorithm-1 counting rules:
+/// The analytical core of the mini-Timeloop substrate: given a concrete
+/// integer mapping on a hierarchy of any depth, count data movement
+/// without executing the loop nest. For each tensor and each
+/// adjacent-level boundary b (between level b and b+1), the words moved
+/// across it under the Algorithm-1 counting rules:
 ///
 ///  - walk level (b+1)'s loops inner-to-outer with hoisting and the
 ///    streaming union on the innermost present iterator;
@@ -57,7 +59,7 @@ MultiProfile analyzeMultiNest(const Problem &Prob, const Hierarchy &H,
 /// Evaluated metrics of one multilevel design, with the paper's Eq. 3
 /// energy decomposition and Eq. 5/section V-B delay decomposition carried
 /// as per-level vectors. On a classic 3-level machine the components map
-/// onto the fixed-depth EvalResult exactly (bit-for-bit):
+/// onto EvalResult's named Eq. 3 components exactly (bit-for-bit):
 /// EnergyPerLevelPj = {Reg, Sram, Dram} and CyclesPerLevel =
 /// {0, SramCycles, DramCycles}.
 struct MultiEvalResult {

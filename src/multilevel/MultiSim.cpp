@@ -2,7 +2,7 @@
 
 #include "multilevel/MultiSim.h"
 
-#include "sim/TileWalk.h"
+#include "multilevel/TileWalk.h"
 
 #include <cassert>
 #include <utility>

@@ -1,43 +1,40 @@
 //===- nestmodel/Evaluator.cpp - Energy/delay evaluation ------------------===//
 //
-// Thin wrapper over the hierarchy-generic evaluation: the architecture is
-// lifted to Hierarchy::classic3Level (which prices the levels with the
-// same Eq. 4 per-access energies the fixed-depth code used) and the
-// per-level decomposition maps back onto the Eq. 3 components. The
-// floating-point grouping of the generic evaluator matches this code's
-// original expression term for term, so the wrapped results are
-// bit-identical to the pre-unification ones.
+// The evaluation itself is the hierarchy-generic one at
+// Hierarchy::classic3Level (which prices the levels with the Eq. 4
+// per-access energies); this file maps its per-level decomposition onto
+// the Eq. 3 component names.
 //
 //===----------------------------------------------------------------------===//
 
 #include "nestmodel/Evaluator.h"
 
-#include "multilevel/MultiNestAnalysis.h"
-
 #include <string>
+#include <utility>
 
 using namespace thistle;
 
-EvalResult thistle::evalResultFromMulti(const Problem &Prob,
-                                        const ArchConfig &Arch,
-                                        const MultiEvalResult &ME) {
+EvalResult thistle::evalResultFromMulti(const ArchConfig &Arch,
+                                        MultiEvalResult ME) {
   EvalResult Result;
-  Result.Profile = profileFromMulti(Prob, ME.Profile);
-  const NestProfile &P = Result.Profile;
+  Result.Profile = std::move(ME.Profile);
+  const std::int64_t RegTileWords = Result.Profile.Occupancy[0];
+  const std::int64_t SramTileWords = Result.Profile.Occupancy[1];
+  const std::int64_t PEsUsed = Result.Profile.PEsUsed;
 
   // Legality, regenerated in the fixed-depth wording (the generic
   // evaluator names the levels after the hierarchy). Each clause is
   // formatted only when its check fails.
   Result.Legal = ME.Legal;
   std::string &Why = Result.IllegalReason;
-  if (P.RegTileWords > Arch.RegWordsPerPE)
-    Why += "register tile " + std::to_string(P.RegTileWords) +
+  if (RegTileWords > Arch.RegWordsPerPE)
+    Why += "register tile " + std::to_string(RegTileWords) +
            " words > capacity " + std::to_string(Arch.RegWordsPerPE) + "; ";
-  if (P.SramTileWords > Arch.SramWords)
-    Why += "SRAM tile " + std::to_string(P.SramTileWords) +
+  if (SramTileWords > Arch.SramWords)
+    Why += "SRAM tile " + std::to_string(SramTileWords) +
            " words > capacity " + std::to_string(Arch.SramWords) + "; ";
-  if (P.PEsUsed > Arch.NumPEs)
-    Why += "uses " + std::to_string(P.PEsUsed) + " PEs > available " +
+  if (PEsUsed > Arch.NumPEs)
+    Why += "uses " + std::to_string(PEsUsed) + " PEs > available " +
            std::to_string(Arch.NumPEs) + "; ";
 
   // Eq. 3 components from the per-level decomposition.
@@ -56,13 +53,4 @@ EvalResult thistle::evalResultFromMulti(const Problem &Prob,
   Result.MacIpc = ME.MacIpc;
   Result.EdpPjCycles = ME.EdpPjCycles;
   return Result;
-}
-
-EvalResult thistle::evaluateMapping(const Problem &Prob, const Mapping &Map,
-                                    const ArchConfig &Arch,
-                                    const EnergyModel &Energy) {
-  Hierarchy H = Hierarchy::classic3Level(Arch, Energy.tech());
-  MultiEvalResult ME =
-      evaluateMultiMapping(Prob, H, MultiMapping::fromMapping(Prob, Map));
-  return evalResultFromMulti(Prob, Arch, ME);
 }

@@ -5,24 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Turns a NestProfile into the paper's metrics: total energy with the
-/// Eq. 3 decomposition (MAC + register + SRAM + DRAM components), delay in
-/// cycles as the maximum over the compute / DRAM-bandwidth /
-/// SRAM-bandwidth components (section V-B), pJ/MAC and MAC IPC. Also
-/// checks mapping legality against an ArchConfig (register/SRAM capacity,
-/// PE count). This plays the role Timeloop's model plays in the paper:
-/// "the final reported energy/performance metrics are based on
-/// [the model's] simulation ... and not on Thistle's estimation".
+/// The paper's metrics of one design on the classic register/SRAM/DRAM
+/// machine: total energy with the Eq. 3 decomposition (MAC + register +
+/// SRAM + DRAM components), delay in cycles as the maximum over the
+/// compute / DRAM-bandwidth / SRAM-bandwidth components (section V-B),
+/// pJ/MAC and MAC IPC, plus legality against an ArchConfig (register/SRAM
+/// capacity, PE count). The numbers come from the hierarchy-generic
+/// evaluator (multilevel/MultiNestAnalysis) run at
+/// Hierarchy::classic3Level; this header only names its components. This
+/// plays the role Timeloop's model plays in the paper: "the final
+/// reported energy/performance metrics are based on [the model's]
+/// simulation ... and not on Thistle's estimation".
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef THISTLE_NESTMODEL_EVALUATOR_H
 #define THISTLE_NESTMODEL_EVALUATOR_H
 
-#include "ir/Mapping.h"
-#include "ir/Problem.h"
 #include "model/TechModel.h"
-#include "nestmodel/NestAnalysis.h"
+#include "multilevel/MultiNestAnalysis.h"
 #include "nestmodel/Objective.h"
 
 #include <string>
@@ -49,29 +50,16 @@ struct EvalResult {
   double SramCycles = 0.0;
   double MacIpc = 0.0;       ///< Nops / Cycles (theoretical max = P).
 
-  NestProfile Profile;       ///< The underlying access counts.
+  /// The underlying access counts: boundary 0 = SRAM<->registers,
+  /// boundary 1 = DRAM<->SRAM; occupancy levels 0/1 = register/SRAM tiles.
+  MultiProfile Profile;
 };
 
-/// Evaluates \p Map for \p Prob on \p Arch with technology \p Tech.
-///
-/// Illegal mappings still carry metrics (useful for diagnostics) but are
-/// flagged. Register capacity is per PE; SRAM capacity is shared.
-///
-/// Thin wrapper: lifts \p Arch to Hierarchy::classic3Level, runs the
-/// generic L-level evaluation and maps the per-level decomposition back
-/// onto the Eq. 3 / section V-B component names — bit-identically to the
-/// pre-unification fixed-depth code.
-EvalResult evaluateMapping(const Problem &Prob, const Mapping &Map,
-                           const ArchConfig &Arch, const EnergyModel &Energy);
-
-struct MultiEvalResult;
-
-/// Repackages a classic-3-level generic evaluation into the fixed-depth
-/// result: Eq. 3 components from the per-level energy vector, SRAM/DRAM
-/// cycles from the per-level delay vector, and the fixed-depth legality
-/// wording regenerated against \p Arch.
-EvalResult evalResultFromMulti(const Problem &Prob, const ArchConfig &Arch,
-                               const MultiEvalResult &ME);
+/// Names the components of a classic-3-level generic evaluation: Eq. 3
+/// components from the per-level energy vector, SRAM/DRAM cycles from the
+/// per-level delay vector, and the fixed-depth legality wording
+/// regenerated against \p Arch. The profile is moved in, not copied.
+EvalResult evalResultFromMulti(const ArchConfig &Arch, MultiEvalResult ME);
 
 } // namespace thistle
 

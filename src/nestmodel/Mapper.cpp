@@ -1,10 +1,10 @@
 //===- nestmodel/Mapper.cpp - Search-based mapping baseline ---------------===//
 //
 // The search is hierarchy-generic: candidates are MultiMappings on an
-// arbitrary-depth machine, and the classic searchMappings entry point is
-// a thin wrapper running the same engine at Hierarchy::classic3Level.
-// The generic sampler and mutator are written so that at 3 levels they
-// consume the RNG stream in exactly the order the fixed-depth code did
+// arbitrary-depth machine; the classic machine is
+// Hierarchy::classic3Level. The sampler and mutator are written so that
+// at 3 levels they consume the RNG stream in exactly the order the
+// pre-unification fixed-depth code did
 // (register / spatial / per-PE / DRAM factor draws, DRAM-then-PE
 // permutation shuffles, the outer-to-inner mutation-slot order of the
 // old TileLevel enum), keeping trial trajectories bit-identical.
@@ -422,26 +422,5 @@ MultiMapperResult thistle::searchMultiMappings(const Problem &Prob,
         " rounds=" + std::to_string(Rounds) +
         " trials=" + std::to_string(Result.Trials) +
         " legal=" + std::to_string(Result.LegalTrials));
-  return Result;
-}
-
-MapperResult thistle::searchMappings(const Problem &Prob,
-                                     const ArchConfig &Arch,
-                                     const EnergyModel &Energy,
-                                     const MapperOptions &Options) {
-  Hierarchy H = Hierarchy::classic3Level(Arch, Energy.tech());
-  MultiMapperResult MR = searchMultiMappings(Prob, H, Options);
-
-  MapperResult Result;
-  Result.Found = MR.Found;
-  Result.InputStatus = std::move(MR.InputStatus);
-  Result.DeadlineExpired = MR.DeadlineExpired;
-  Result.Trials = MR.Trials;
-  Result.LegalTrials = MR.LegalTrials;
-  Result.StopCause = MR.StopCause;
-  if (MR.Found) {
-    Result.Best = MR.Best.toMapping();
-    Result.BestEval = evalResultFromMulti(Prob, Arch, MR.BestEval);
-  }
   return Result;
 }

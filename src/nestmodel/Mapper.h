@@ -19,7 +19,6 @@
 
 #include "multilevel/MultiNestAnalysis.h"
 #include "nestmodel/CostEvaluator.h"
-#include "nestmodel/Evaluator.h"
 #include "nestmodel/Objective.h"
 #include "support/Status.h"
 
@@ -92,22 +91,6 @@ enum class MapperStopCause {
 /// Printable name of a stop cause ("victory", "max-trials", ...).
 const char *mapperStopCauseName(MapperStopCause Cause);
 
-/// Search outcome.
-struct MapperResult {
-  bool Found = false;   ///< True if any legal mapping was evaluated.
-  /// Non-Ok when the inputs failed validation; no trial ran.
-  Status InputStatus;
-  /// True when the search stopped at the wall-clock deadline rather
-  /// than at MaxTrials or the victory condition.
-  bool DeadlineExpired = false;
-  Mapping Best;         ///< Best legal mapping found.
-  EvalResult BestEval;  ///< Its metrics.
-  unsigned Trials = 0;  ///< Candidates evaluated.
-  unsigned LegalTrials = 0;
-  /// What ended the search (victory, trial budget, or deadline).
-  MapperStopCause StopCause = MapperStopCause::None;
-};
-
 /// Search outcome over an L-level hierarchy.
 struct MultiMapperResult {
   bool Found = false;        ///< True if any legal mapping was evaluated.
@@ -124,18 +107,12 @@ struct MultiMapperResult {
 };
 
 /// Runs the stochastic mapping search for \p Prob on the fixed hierarchy
-/// \p H — the hierarchy-generic engine. On a classic 3-level machine the
-/// RNG streams, trial trajectory and winner are bit-identical to
-/// searchMappings (which wraps this), at every thread count.
+/// \p H. The classic paper machine is Hierarchy::classic3Level; there the
+/// RNG streams, trial trajectory and winner are bit-identical to the
+/// pre-unification fixed-depth search (tests/EquivalenceTest.cpp), at
+/// every thread count.
 MultiMapperResult searchMultiMappings(const Problem &Prob, const Hierarchy &H,
                                       const MapperOptions &Options);
-
-/// Runs the baseline mapping search for \p Prob on the fixed \p Arch.
-/// Thin wrapper: lifts \p Arch to Hierarchy::classic3Level and runs
-/// searchMultiMappings.
-MapperResult searchMappings(const Problem &Prob, const ArchConfig &Arch,
-                            const EnergyModel &Energy,
-                            const MapperOptions &Options);
 
 } // namespace thistle
 

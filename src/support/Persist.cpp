@@ -333,9 +333,102 @@ Expected<std::string> persist::readSnapshotFile(const std::string &Path,
 // Journal files
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// The frame walk behind readJournalFile and JournalWriter::open. Only
+/// with \p KeepRecords are the intact payloads kept; without it the walk
+/// finds the cut point holding one payload at a time.
+Expected<JournalContents> scanJournal(const std::string &Path,
+                                      const std::string &Kind,
+                                      bool KeepRecords) {
+  std::FILE *Raw = std::fopen(Path.c_str(), "rb");
+  if (!Raw)
+    return Status::error(StatusCode::NotFound,
+                         "no journal at '" + Path + "'");
+  FileHandle F(Raw);
+
+  std::string Line;
+  if (!readLine(Raw, Line))
+    return Status::error(StatusCode::DataLoss,
+                         "'" + Path + "': empty or headerless file");
+  std::vector<std::string> Fields = splitFields(Line);
+  if (Fields.size() != 3 || Fields[1] != "journal")
+    return Status::parseError("'" + Path + "': unrecognized header '" +
+                              Line + "'");
+  if (Fields[0] != SnapshotMagic)
+    return Status::parseError("'" + Path + "': version '" + Fields[0] +
+                              "' is not '" + SnapshotMagic + "'");
+  if (Fields[2] != Kind)
+    return Status::parseError("'" + Path + "': holds '" + Fields[2] +
+                              "' state, wanted '" + Kind + "'");
+
+  JournalContents Out;
+  std::size_t Intact = 0;
+  Out.IntactBytes = static_cast<std::uint64_t>(std::ftell(Raw));
+  // Anything wrong from here on is a torn or corrupt tail: keep the
+  // intact prefix, describe the damage, and stop. A journal cut short
+  // by SIGKILL is the expected shape of a crash, not a load error.
+  auto tear = [&](const std::string &Why) {
+    Out.Truncated = true;
+    Out.Problem = "'" + Path + "': " + Why + " after " +
+                  std::to_string(Intact) +
+                  " intact record(s); dropping the damaged tail";
+    return Out;
+  };
+  for (;;) {
+    std::string Frame;
+    if (!readLine(Raw, Frame)) {
+      if (Frame.empty())
+        return Out; // Clean EOF on a frame boundary.
+      return tear("torn record frame");
+    }
+    std::vector<std::string> Rec = splitFields(Frame);
+    std::uint64_t Size;
+    std::uint32_t WantCrc;
+    if (Rec.size() != 3 || Rec[0] != "rec" || !parseSize(Rec[1], Size) ||
+        !parseCrc(Rec[2], WantCrc))
+      return tear("unrecognized record frame '" + Frame + "'");
+    std::string Payload(static_cast<std::size_t>(Size), '\0');
+    const std::size_t Got =
+        Payload.empty() ? 0
+                        : std::fread(Payload.data(), 1, Payload.size(), Raw);
+    if (Got != Payload.size())
+      return tear("torn record payload (" + std::to_string(Got) + " of " +
+                  std::to_string(Size) + " bytes)");
+    if (crc32(Payload.data(), Payload.size()) != WantCrc)
+      return tear("record CRC mismatch");
+    int Sep = std::fgetc(Raw);
+    if (Sep != '\n')
+      return tear("missing record separator");
+    if (KeepRecords)
+      Out.Records.push_back(std::move(Payload));
+    ++Intact;
+    Out.IntactBytes = static_cast<std::uint64_t>(std::ftell(Raw));
+  }
+}
+
+} // namespace
+
 Status JournalWriter::open(const std::string &Path,
                            const std::string &Kind) {
   close();
+  // Appends land where the reader stops: at the end of the intact
+  // records, or at byte 0 of a file whose header it rejects (the
+  // header is rewritten below).
+  Expected<JournalContents> Existing =
+      scanJournal(Path, Kind, /*KeepRecords=*/false);
+  const bool Cut = Existing
+                       ? Existing.value().Truncated
+                       : Existing.status().code() != StatusCode::NotFound;
+  if (Cut) {
+    std::error_code Ec;
+    std::filesystem::resize_file(
+        Path, Existing ? Existing.value().IntactBytes : 0, Ec);
+    if (Ec)
+      return Status::error(StatusCode::DataLoss,
+                           "cannot cut journal '" + Path +
+                               "': " + Ec.message());
+  }
   // "a" keeps existing records (the self-resume case); the header is
   // only written when the file starts empty.
   std::FILE *Raw = std::fopen(Path.c_str(), "ab");
@@ -385,65 +478,7 @@ void JournalWriter::close() {
 
 Expected<JournalContents> persist::readJournalFile(const std::string &Path,
                                                    const std::string &Kind) {
-  std::FILE *Raw = std::fopen(Path.c_str(), "rb");
-  if (!Raw)
-    return Status::error(StatusCode::NotFound,
-                         "no journal at '" + Path + "'");
-  FileHandle F(Raw);
-
-  std::string Line;
-  if (!readLine(Raw, Line))
-    return Status::error(StatusCode::DataLoss,
-                         "'" + Path + "': empty or headerless file");
-  std::vector<std::string> Fields = splitFields(Line);
-  if (Fields.size() != 3 || Fields[1] != "journal")
-    return Status::parseError("'" + Path + "': unrecognized header '" +
-                              Line + "'");
-  if (Fields[0] != SnapshotMagic)
-    return Status::parseError("'" + Path + "': version '" + Fields[0] +
-                              "' is not '" + SnapshotMagic + "'");
-  if (Fields[2] != Kind)
-    return Status::parseError("'" + Path + "': holds '" + Fields[2] +
-                              "' state, wanted '" + Kind + "'");
-
-  JournalContents Out;
-  // Anything wrong from here on is a torn or corrupt tail: keep the
-  // intact prefix, describe the damage, and stop. A journal cut short
-  // by SIGKILL is the expected shape of a crash, not a load error.
-  auto tear = [&](const std::string &Why) {
-    Out.Truncated = true;
-    Out.Problem = "'" + Path + "': " + Why + " after " +
-                  std::to_string(Out.Records.size()) +
-                  " intact record(s); dropping the damaged tail";
-    return Out;
-  };
-  for (;;) {
-    std::string Frame;
-    if (!readLine(Raw, Frame)) {
-      if (Frame.empty())
-        return Out; // Clean EOF on a frame boundary.
-      return tear("torn record frame");
-    }
-    std::vector<std::string> Rec = splitFields(Frame);
-    std::uint64_t Size;
-    std::uint32_t WantCrc;
-    if (Rec.size() != 3 || Rec[0] != "rec" || !parseSize(Rec[1], Size) ||
-        !parseCrc(Rec[2], WantCrc))
-      return tear("unrecognized record frame '" + Frame + "'");
-    std::string Payload(static_cast<std::size_t>(Size), '\0');
-    const std::size_t Got =
-        Payload.empty() ? 0
-                        : std::fread(Payload.data(), 1, Payload.size(), Raw);
-    if (Got != Payload.size())
-      return tear("torn record payload (" + std::to_string(Got) + " of " +
-                  std::to_string(Size) + " bytes)");
-    if (crc32(Payload.data(), Payload.size()) != WantCrc)
-      return tear("record CRC mismatch");
-    int Sep = std::fgetc(Raw);
-    if (Sep != '\n')
-      return tear("missing record separator");
-    Out.Records.push_back(std::move(Payload));
-  }
+  return scanJournal(Path, Kind, /*KeepRecords=*/true);
 }
 
 //===----------------------------------------------------------------------===//

@@ -136,7 +136,11 @@ public:
   JournalWriter &operator=(const JournalWriter &) = delete;
 
   /// Opens \p Path for appending, writing the header first when the
-  /// file is new or empty. DataLoss when the file cannot be opened.
+  /// file is new or empty. Records appended behind a header of another
+  /// magic or kind, or behind a torn tail, would be lost to the next
+  /// readJournalFile, so such a file starts over as an empty journal and
+  /// a torn tail is cut back to the intact prefix first. DataLoss when
+  /// the file cannot be opened or cut.
   Status open(const std::string &Path, const std::string &Kind);
 
   /// Appends one framed record and flushes. DataLoss on a short or
@@ -158,6 +162,9 @@ struct JournalContents {
   /// describes the damage and where the intact prefix ends.
   bool Truncated = false;
   std::string Problem;
+  /// Length of the header plus the intact records: where an append
+  /// must start for the next read to see it.
+  std::uint64_t IntactBytes = 0;
 };
 
 /// Reads every intact record of a journal. A torn/corrupt tail is not

@@ -31,33 +31,17 @@ ExprGen::ExprGen(const Problem &Prob, VarTable &Vars)
   }
 }
 
-VarId ExprGen::innerVar(TileLevel Level, unsigned Iter) const {
-  switch (Level) {
-  case TileLevel::DramTemporal:
-    return tripVar(TileLevel::Spatial, Iter);
-  case TileLevel::Spatial:
-    return tripVar(TileLevel::PeTemporal, Iter);
-  case TileLevel::PeTemporal:
-    return tripVar(TileLevel::Register, Iter);
-  case TileLevel::Register:
-    break;
-  }
-  assert(false && "the register level has no inner level");
-  return 0;
-}
-
-FactoredExpr ExprGen::registerFootprint(unsigned TensorIdx) const {
-  const Tensor &T = Prob.tensors()[TensorIdx];
+FactoredExpr ExprGen::levelZeroFootprint(const Tensor &T,
+                                         const std::vector<VarId> &Vars) {
   FactoredExpr DF;
   for (const DimRef &D : T.Dims) {
-    // Extent of sum_t stride_t * it_t over a tile of r_t points per
-    // iterator: sum_t stride_t * r_t - (sum_t stride_t - 1).
+    // Extent of sum_t stride_t * it_t over a tile of v_t points per
+    // iterator: sum_t stride_t * v_t - (sum_t stride_t - 1).
     Signomial Extent;
     std::int64_t StrideSum = 0;
     for (const DimRef::Term &Term : D.Terms) {
       Extent += Signomial(Monomial::variable(
-          tripVar(TileLevel::Register, Term.Iter), 1.0,
-          static_cast<double>(Term.Stride)));
+          Vars[Term.Iter], 1.0, static_cast<double>(Term.Stride)));
       StrideSum += Term.Stride;
     }
     if (StrideSum != 1)
@@ -67,11 +51,18 @@ FactoredExpr ExprGen::registerFootprint(unsigned TensorIdx) const {
   return DF;
 }
 
-LevelExprs ExprGen::constructExpr(unsigned TensorIdx,
-                                  const std::vector<unsigned> &Perm,
-                                  TileLevel Level, const FactoredExpr &DfPrev,
-                                  const StepObserver &Observer) const {
-  const Tensor &T = Prob.tensors()[TensorIdx];
+FactoredExpr ExprGen::registerFootprint(unsigned TensorIdx) const {
+  return levelZeroFootprint(
+      Prob.tensors()[TensorIdx],
+      TripVars[static_cast<unsigned>(TileLevel::Register)]);
+}
+
+LevelExprs ExprGen::walkLevel(const Tensor &T,
+                              const std::vector<unsigned> &Perm,
+                              const std::vector<VarId> &LevelVars,
+                              const std::vector<VarId> &PrevVars,
+                              const FactoredExpr &DfPrev,
+                              const StepObserver &Observer) {
   LevelExprs State;
   State.DF = DfPrev;
   State.DV = DfPrev;
@@ -84,8 +75,8 @@ LevelExprs ExprGen::constructExpr(unsigned TensorIdx,
   // Inner-to-outer traversal of the level's tile loops (Algorithm 1).
   for (std::size_t Pos = Perm.size(); Pos > 0; --Pos) {
     unsigned It = Perm[Pos - 1];
-    VarId LevelVar = tripVar(Level, It);
-    VarId PrevVar = innerVar(Level, It);
+    VarId LevelVar = LevelVars[It];
+    VarId PrevVar = PrevVars[It];
     Monomial Repl =
         Monomial::variable(LevelVar) * Monomial::variable(PrevVar);
     if (CanHoist) {
@@ -106,6 +97,18 @@ LevelExprs ExprGen::constructExpr(unsigned TensorIdx,
       Observer(It, State);
   }
   return State;
+}
+
+LevelExprs ExprGen::constructExpr(unsigned TensorIdx,
+                                  const std::vector<unsigned> &Perm,
+                                  TileLevel Level, const FactoredExpr &DfPrev,
+                                  const StepObserver &Observer) const {
+  assert(Level != TileLevel::Register &&
+         "the register level has no inner level");
+  // TileLevel counts outer to inner, so the level below is the next one.
+  const unsigned L = static_cast<unsigned>(Level);
+  return walkLevel(Prob.tensors()[TensorIdx], Perm, TripVars[L],
+                   TripVars[L + 1], DfPrev, Observer);
 }
 
 FactoredExpr ExprGen::spatialFootprint(unsigned TensorIdx,

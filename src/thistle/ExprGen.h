@@ -78,11 +78,30 @@ public:
   using StepObserver =
       std::function<void(unsigned Iter, const LevelExprs &State)>;
 
+  /// The innermost-level footprint of \p T over the trip-count variables
+  /// \p Vars (indexed by iterator), with the strided-extent arithmetic
+  /// of the file comment. registerFootprint and the multilevel GP
+  /// (multilevel/MultiGp) both build DF^0 with it.
+  static FactoredExpr levelZeroFootprint(const Tensor &T,
+                                         const std::vector<VarId> &Vars);
+
+  /// Algorithm 1's walk of one temporal level of any hierarchy, for
+  /// tensor \p T: \p Perm is the outer-to-inner order of the level's tile
+  /// loops, \p LevelVars and \p PrevVars the trip-count variables of
+  /// this level and of the level below (indexed by iterator), \p DfPrev
+  /// the footprint at the level below. The replace() step substitutes
+  /// PrevVars[i] with LevelVars[i] * PrevVars[i].
+  static LevelExprs walkLevel(const Tensor &T,
+                              const std::vector<unsigned> &Perm,
+                              const std::vector<VarId> &LevelVars,
+                              const std::vector<VarId> &PrevVars,
+                              const FactoredExpr &DfPrev,
+                              const StepObserver &Observer = nullptr);
+
   /// Algorithm 1 for tensor \p TensorIdx at temporal level \p Level:
-  /// \p Perm is the outer-to-inner order of this level's tile loops
-  /// (tiled iterators only) and \p DfPrev the footprint at the next lower
-  /// level. The replace() step substitutes the lower level's trip-count
-  /// variable v_prev with v_level * v_prev.
+  /// walkLevel over this level's variables and those of the tiling level
+  /// immediately below (the q level substitutes r, the DRAM level
+  /// substitutes p). \p Perm holds tiled iterators only.
   LevelExprs constructExpr(unsigned TensorIdx,
                            const std::vector<unsigned> &Perm, TileLevel Level,
                            const FactoredExpr &DfPrev,
@@ -107,11 +126,6 @@ private:
   const Problem &Prob;
   VarTable &Vars;
   std::array<std::vector<VarId>, NumTileLevels> TripVars;
-
-  /// The variable of the tiling level immediately below \p Level for
-  /// substitution chains (q level substitutes r, spatial substitutes q,
-  /// DRAM level substitutes p).
-  VarId innerVar(TileLevel Level, unsigned Iter) const;
 };
 
 } // namespace thistle

@@ -37,8 +37,9 @@ void appendIndices(std::string &Out, const std::vector<unsigned> &V) {
 
 /// The on-disk kind tag shared by cache snapshots and journals. It
 /// names the entry encoding: "gpcache" files also carried a structural
-/// key and the x-space optimum per entry, and are rejected whole.
-constexpr const char *CacheKind = "gpcache2";
+/// key and the x-space optimum per entry, "gpcache2" files a
+/// directional per-tensor profile; both are rejected whole.
+constexpr const char *CacheKind = "gpcache3";
 
 void putPerm(Encoder &E, const std::vector<unsigned> &Perm) {
   E.putU64(Perm.size());
@@ -53,6 +54,23 @@ bool getPerm(Decoder &D, std::vector<unsigned> &Perm) {
   Perm.resize(static_cast<std::size_t>(Count));
   for (unsigned &I : Perm)
     if (!D.getU32(I))
+      return false;
+  return true;
+}
+
+void putCounts(Encoder &E, const std::vector<std::int64_t> &Counts) {
+  E.putU64(Counts.size());
+  for (std::int64_t C : Counts)
+    E.putI64(C);
+}
+
+bool getCounts(Decoder &D, std::vector<std::int64_t> &Counts) {
+  std::uint64_t Count;
+  if (!D.getU64(Count) || Count > D.remaining() / 8)
+    return false;
+  Counts.resize(static_cast<std::size_t>(Count));
+  for (std::int64_t &C : Counts)
+    if (!D.getI64(C))
       return false;
   return true;
 }
@@ -96,15 +114,10 @@ std::string encodeEntry(const std::string &Key, const GpCacheEntry &Entry) {
   E.putDouble(D.Eval.DramCycles);
   E.putDouble(D.Eval.SramCycles);
   E.putDouble(D.Eval.MacIpc);
-  E.putU64(D.Eval.Profile.PerTensor.size());
-  for (const TensorVolumes &V : D.Eval.Profile.PerTensor) {
-    E.putI64(V.DramToSram);
-    E.putI64(V.SramToDram);
-    E.putI64(V.SramToReg);
-    E.putI64(V.RegToSram);
-  }
-  E.putI64(D.Eval.Profile.RegTileWords);
-  E.putI64(D.Eval.Profile.SramTileWords);
+  E.putU64(D.Eval.Profile.Words.size());
+  for (const std::vector<std::int64_t> &Boundary : D.Eval.Profile.Words)
+    putCounts(E, Boundary);
+  putCounts(E, D.Eval.Profile.Occupancy);
   E.putI64(D.Eval.Profile.PEsUsed);
   E.putU64(D.CandidatesTried);
 
@@ -149,17 +162,15 @@ bool decodeEntry(Decoder &D, std::string &Key, GpCacheEntry &Entry) {
       !D.getDouble(R.Eval.DramCycles) || !D.getDouble(R.Eval.SramCycles) ||
       !D.getDouble(R.Eval.MacIpc))
     return false;
-  std::uint64_t Tensors;
-  if (!D.getU64(Tensors) || Tensors > D.remaining() / 32)
+  std::uint64_t Boundaries;
+  if (!D.getU64(Boundaries) || Boundaries > D.remaining() / 8)
     return false;
-  R.Eval.Profile.PerTensor.resize(static_cast<std::size_t>(Tensors));
-  for (TensorVolumes &V : R.Eval.Profile.PerTensor)
-    if (!D.getI64(V.DramToSram) || !D.getI64(V.SramToDram) ||
-        !D.getI64(V.SramToReg) || !D.getI64(V.RegToSram))
+  R.Eval.Profile.Words.resize(static_cast<std::size_t>(Boundaries));
+  for (std::vector<std::int64_t> &Boundary : R.Eval.Profile.Words)
+    if (!getCounts(D, Boundary))
       return false;
   std::uint64_t Tried;
-  if (!D.getI64(R.Eval.Profile.RegTileWords) ||
-      !D.getI64(R.Eval.Profile.SramTileWords) ||
+  if (!getCounts(D, R.Eval.Profile.Occupancy) ||
       !D.getI64(R.Eval.Profile.PEsUsed) || !D.getU64(Tried))
     return false;
   R.CandidatesTried = static_cast<std::size_t>(Tried);

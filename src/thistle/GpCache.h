@@ -109,7 +109,8 @@ public:
   /// loaded entries are not re-journaled. Damage is accumulated into
   /// \p Stats, never thrown: a missing file is skipped silently, a
   /// damaged one contributes its intact prefix, and a file of another
-  /// kind (including the older "gpcache" encoding) is rejected whole.
+  /// kind (including the older "gpcache" and "gpcache2" encodings) is
+  /// rejected whole.
   void loadFile(const std::string &Path, GpCachePersistStats &Stats);
 
   /// Attaches an append-only journal: every subsequent *new* insert is

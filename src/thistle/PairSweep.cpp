@@ -31,11 +31,12 @@ std::vector<unsigned> thistle::tiledIterators(const Problem &Prob,
 
 namespace {
 
-/// Replays a cached pair outcome into the accumulator: the same report
-/// record, stat deltas, telemetry counts and winner update the miss
-/// path would have produced, without building or solving the GP.
-void replayCacheEntry(const GpCacheEntry &Entry, const PairTask &Task,
-                      std::size_t TaskIdx, SweepAccumulator &Acc) {
+/// Folds one pair's outcome into the accumulator: its report record,
+/// stat deltas, telemetry counts and winner update. A freshly solved
+/// pair and a cache hit go through here alike, so a replayed outcome
+/// counts exactly as the solve that recorded it.
+void foldPairOutcome(const GpCacheEntry &Entry, const PairTask &Task,
+                     std::size_t TaskIdx, SweepAccumulator &Acc) {
   Acc.NewtonIterations += Entry.NewtonIterations;
   if (Entry.GpInfeasible)
     ++Acc.GpInfeasible;
@@ -155,7 +156,7 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
     return;
   }
 
-  // Cache hit: replay the recorded outcome and skip the solve.
+  // Cache hit: fold the recorded outcome and skip the solve.
   // Deadline- and fault-killed tasks never reach the insert below, so
   // what is replayed is always a genuinely computed outcome.
   std::string Key;
@@ -171,13 +172,16 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
       if (telemetry::traceEnabled())
         PairSpan.setDetail(std::string("cache-hit ") +
                            taskOutcomeName(Hit.Outcome));
-      replayCacheEntry(Hit, Task, TaskIdx, Acc);
+      foldPairOutcome(Hit, Task, TaskIdx, Acc);
       return;
     }
     ++Acc.CacheMisses;
     telemetry::count("thistle.cache.miss");
   }
 
+  // A throwing solve or rounding leaves a Failed record, but the Newton
+  // steps already spent still count.
+  GpCacheEntry Entry;
   try {
     GpBuildSpec Spec;
     Spec.Mode = Options.Mode;
@@ -190,15 +194,12 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
     Spec.Tech = Ctx.Tech;
     Spec.AreaBudgetUm2 = Ctx.AreaBudgetUm2;
 
-    GpCacheEntry Entry;
-    unsigned TaskNewton = 0;
-
     GpSolveReport Solve;
     GpBuild Build = buildGp(Ctx.Prob, Spec);
     GpSolution Solution =
         solveGpWithRetry(Build.Gp, Options.Solver, &Solve);
-    TaskNewton += Solution.NewtonIterations;
-    unsigned Attempts = Solve.attempts();
+    Entry.NewtonIterations = Solution.NewtonIterations;
+    Entry.Attempts = Solve.attempts();
     if (!Solution.Feasible) {
       // The drop-negative halo bound can reject tiny register files
       // that are actually feasible; retry with the product bound,
@@ -207,86 +208,49 @@ void thistle::runPairTask(const PairSweepContext &Ctx, std::size_t TaskIdx,
       Build = buildGp(Ctx.Prob, Spec);
       GpSolveReport Fallback;
       Solution = solveGpWithRetry(Build.Gp, Options.Solver, &Fallback);
-      TaskNewton += Solution.NewtonIterations;
-      Attempts += Fallback.attempts();
+      Entry.NewtonIterations += Solution.NewtonIterations;
+      Entry.Attempts += Fallback.attempts();
     }
-    Acc.NewtonIterations += TaskNewton;
-    Entry.NewtonIterations = TaskNewton;
-    Entry.Attempts = Attempts;
 
     if (!Solution.Feasible ||
         Solution.Outcome == SolveOutcome::NonFinite) {
       // Keep the historical stat for ANY pair that yields no feasible
       // iterate, whatever the cause, so Stats stay comparable.
-      ++Acc.GpInfeasible;
       Entry.GpInfeasible = true;
-      TaskOutcome Outcome =
-          Solution.Outcome == SolveOutcome::Infeasible
-              ? TaskOutcome::Infeasible
-              : TaskOutcome::Failed;
-      Entry.Outcome = Outcome;
+      Entry.Outcome = Solution.Outcome == SolveOutcome::Infeasible
+                          ? TaskOutcome::Infeasible
+                          : TaskOutcome::Failed;
       Entry.Detail = Solution.Failure.empty()
                          ? std::string(solveOutcomeName(Solution.Outcome))
                          : Solution.Failure;
-      Acc.Report.record(Outcome, TaskIdx, Task.QI, Task.SI, Attempts,
-                        Entry.Detail);
       if (telemetry::traceEnabled())
-        PairSpan.setDetail(taskOutcomeName(Outcome));
-      if (Ctx.Cache)
-        Ctx.Cache->insert(Key, std::move(Entry));
-      return;
-    }
-    // Feasible but not converged: accept the best iterate (as the
-    // sweep always has), flagged Degraded in the report.
-    Entry.Outcome = Solution.Converged ? TaskOutcome::Solved
-                                       : TaskOutcome::Degraded;
-    Entry.Detail = Solution.Converged ? std::string() : Solution.Failure;
-    Acc.Report.record(Entry.Outcome, TaskIdx, Task.QI, Task.SI, Attempts,
-                      Entry.Detail);
+        PairSpan.setDetail(taskOutcomeName(Entry.Outcome));
+    } else {
+      // Feasible but not converged: accept the best iterate (as the
+      // sweep always has), flagged Degraded in the report.
+      Entry.Outcome = Solution.Converged ? TaskOutcome::Solved
+                                         : TaskOutcome::Degraded;
+      Entry.Detail = Solution.Converged ? std::string() : Solution.Failure;
+      if (telemetry::traceEnabled())
+        PairSpan.setDetail(
+            std::string(Solution.Converged ? "solved" : "degraded") +
+            " attempts=" + std::to_string(Entry.Attempts));
 
-    if (telemetry::traceEnabled())
-      PairSpan.setDetail(
-          std::string(Solution.Converged ? "solved" : "degraded") +
-          " attempts=" + std::to_string(Attempts));
-    telemetry::count("thistle.pairs.solved");
-
-    RealSolution Real = extractSolution(Ctx.Prob, Build, Spec, Solution);
-    RoundedDesign Design =
-        roundSolution(Ctx.Prob, Spec, Real, Options.Rounding);
-    Acc.CandidatesEvaluated += Design.CandidatesTried;
-    if (telemetry::metricsEnabled())
-      telemetry::count("thistle.rounding.candidates",
-                       Design.CandidatesTried);
-    Entry.ModelObjective = Real.Objective;
-    if (!Design.Found) {
-      Entry.Design = Design;
-      if (Ctx.Cache)
-        Ctx.Cache->insert(Key, std::move(Entry));
-      return;
-    }
-
-    double Obj = objectiveValue(Design.Eval, Options.Objective);
-    // The rounding gap: how much the integer design lost (or, rarely,
-    // gained) relative to the relaxed GP optimum for this pair.
-    if (telemetry::metricsEnabled() && Real.Objective > 0.0)
-      telemetry::observe("thistle.rounding.rel_delta",
-                         (Obj - Real.Objective) / Real.Objective);
-    Entry.Obj = Obj;
-    Entry.Design = Design;
-    if (Ctx.Cache)
-      Ctx.Cache->insert(Key, std::move(Entry));
-    if (pairWinsOver(Obj, Task.QI, Task.SI, Acc)) {
-      Acc.Found = true;
-      Acc.Obj = Obj;
-      Acc.QI = Task.QI;
-      Acc.SI = Task.SI;
-      Acc.Design = std::move(Design);
-      Acc.ModelObjective = Real.Objective;
+      RealSolution Real = extractSolution(Ctx.Prob, Build, Spec, Solution);
+      Entry.Design = roundSolution(Ctx.Prob, Spec, Real, Options.Rounding);
+      Entry.ModelObjective = Real.Objective;
+      if (Entry.Design.Found)
+        Entry.Obj = objectiveValue(Entry.Design.Eval, Options.Objective);
     }
   } catch (const std::exception &E) {
+    Acc.NewtonIterations += Entry.NewtonIterations;
     Acc.Report.record(TaskOutcome::Failed, TaskIdx, Task.QI, Task.SI, 0,
                       std::string("exception: ") + E.what());
+    return;
   }
+  foldPairOutcome(Entry, Task, TaskIdx, Acc);
+  if (Ctx.Cache)
+    Ctx.Cache->insert(Key, std::move(Entry));
 }
 
 void thistle::mergePairAccumulators(SweepAccumulator &A,

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 using namespace thistle;
 
@@ -199,9 +200,9 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
                   static_cast<double>(Arch.NumPEs))
         continue;
       ++Tried;
-      // The generic evaluation repackaged into the fixed-depth result.
+      // The generic evaluation, named after the Eq. 3 components.
       EvalResult Eval = evalResultFromMulti(
-          Prob, Arch, Evaluator.evaluate(Prob, Hiers[A], MultiMap));
+          Arch, Evaluator.evaluate(Prob, Hiers[A], MultiMap));
       if (!Eval.Legal)
         continue;
       double Obj = objectiveValue(Eval, Spec.Objective);
@@ -209,7 +210,7 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
         Best.Found = true;
         Best.Arch = Arch;
         Best.Map = MultiMap.toMapping();
-        Best.Eval = Eval;
+        Best.Eval = std::move(Eval);
         BestObj = Obj;
       }
     }

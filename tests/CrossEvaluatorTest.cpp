@@ -16,7 +16,6 @@
 #include "nestmodel/CostEvaluator.h"
 #include "nestmodel/MaestroModel.h"
 #include "nestmodel/Mapper.h"
-#include "sim/TiledLoopSim.h"
 #include "support/MathUtil.h"
 #include "support/Rng.h"
 #include "support/Telemetry.h"
@@ -231,13 +230,13 @@ TEST(CrossEvaluator, BothBackendsMatchTiledLoopSimExactly) {
 }
 
 TEST(CrossEvaluator, SimulatedProfileMatchesClassic3Mapping) {
-  // The fixed-depth ground-truth entry point: a 4-level Mapping lifted
-  // onto classic3Shape must count exactly what both backends count.
+  // The classic-machine ground truth: a 4-level Mapping lifted onto
+  // classic3Shape must count exactly what both backends count.
   Hierarchy H = Hierarchy::classic3Shape();
   for (const Problem &P : simWorkloads()) {
     Mapping Map = Mapping::untiled(P);
     MultiMapping M = MultiMapping::fromMapping(P, Map);
-    MultiProfile Sim = simulatedProfile(P, Map);
+    MultiProfile Sim = simulateMultiNestProfile(P, H, M);
     expectSameMultiProfile(P, H, nestCostEvaluator().profile(P, H, M), Sim);
     expectSameMultiProfile(P, H, maestroCostEvaluator().profile(P, H, M), Sim);
   }

@@ -1,19 +1,22 @@
 //===- tests/EquivalenceTest.cpp - Generic-engine equivalence proof -------===//
 //
-// The hierarchy-generic unification claims that nestmodel's fixed
-// 3-level analysis, evaluation and mapper search are *bit-for-bit* the
-// generic L-level engine instantiated at Hierarchy::classic3Level. This
-// suite holds the proof: the pre-unification fixed-depth implementations
-// are embedded verbatim below (namespace legacyref) and diffed against
-// the wrappers on the paper's workloads — every access count, every
-// double of every EvalResult, and entire mapper trajectories (same RNG
-// streams, same trial counts, same winner) at every thread count.
+// The hierarchy-generic unification claims that the classic 3-level
+// analysis, evaluation and mapper search are *bit-for-bit* the generic
+// L-level engine instantiated at Hierarchy::classic3Level. This suite
+// holds the proof: the pre-unification fixed-depth implementations are
+// embedded verbatim below (namespace legacyref, with the result types
+// they filled) and diffed against the generic API on the paper's
+// workloads — every access count (a legacy directional pair such as
+// DramToSram + SramToDram equals the generic Words[b][t]), every double
+// of every EvalResult, and entire mapper trajectories (same RNG streams,
+// same trial counts, same winner) at every thread count.
 //
 // If a change to the generic engine breaks any of these, it changed the
 // semantics of the classic machine, not just generalized them.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "nestmodel/Evaluator.h"
 #include "nestmodel/Mapper.h"
 #include "support/MathUtil.h"
@@ -37,6 +40,71 @@ using namespace thistle;
 // The seed (pre-unification) fixed-depth implementations, kept verbatim
 // as the reference the generic engine must reproduce exactly.
 namespace legacyref {
+
+/// Per-tensor access volumes of one mapping (words).
+struct TensorVolumes {
+  std::int64_t DramToSram = 0; ///< DRAM reads feeding SRAM.
+  std::int64_t SramToDram = 0; ///< DRAM writes (read-write tensors only).
+  std::int64_t SramToReg = 0;  ///< SRAM reads feeding registers (multicast-
+                               ///< reduced).
+  std::int64_t RegToSram = 0;  ///< SRAM writes from registers.
+};
+
+/// Complete analytical profile of a mapping.
+struct NestProfile {
+  std::vector<TensorVolumes> PerTensor; ///< In Problem::tensors() order.
+
+  std::int64_t RegTileWords = 0;  ///< Sum of register-tile footprints.
+  std::int64_t SramTileWords = 0; ///< Sum of SRAM-tile footprints.
+  std::int64_t PEsUsed = 1;       ///< Product of spatial trip counts.
+
+  /// Sum over tensors of DRAM-side traffic (reads + writes).
+  std::int64_t dramTraffic() const {
+    std::int64_t Sum = 0;
+    for (const TensorVolumes &V : PerTensor)
+      Sum += V.DramToSram + V.SramToDram;
+    return Sum;
+  }
+  /// Sum over tensors of SRAM<->register traffic (reads + writes).
+  std::int64_t sramRegTraffic() const {
+    std::int64_t Sum = 0;
+    for (const TensorVolumes &V : PerTensor)
+      Sum += V.SramToReg + V.RegToSram;
+    return Sum;
+  }
+};
+
+/// Evaluated metrics of one mapping on one architecture.
+struct EvalResult {
+  bool Legal = false;        ///< False if any capacity is exceeded.
+  std::string IllegalReason; ///< Diagnostic when !Legal.
+
+  double EnergyPj = 0.0;     ///< Total energy (Eq. 3 structure).
+  double EnergyPerMacPj = 0.0;
+  double MacEnergyPj = 0.0;  ///< (4*eps_R + eps_op) * Nops component.
+  double RegEnergyPj = 0.0;  ///< eps_R * DV(S<->R) component.
+  double SramEnergyPj = 0.0; ///< eps_S * (DV(S<->R)+DV(S<->D)) component.
+  double DramEnergyPj = 0.0; ///< eps_D * DV(S<->D) component.
+
+  double EdpPjCycles = 0.0;  ///< Energy-delay product (pJ * cycles).
+
+  double Cycles = 0.0;       ///< max(compute, DRAM, SRAM) cycles.
+  double ComputeCycles = 0.0;
+  double DramCycles = 0.0;
+  double SramCycles = 0.0;
+  double MacIpc = 0.0;       ///< Nops / Cycles (theoretical max = P).
+
+  NestProfile Profile;       ///< The underlying access counts.
+};
+
+/// Search outcome.
+struct MapperResult {
+  bool Found = false;   ///< True if any legal mapping was evaluated.
+  Mapping Best;         ///< Best legal mapping found.
+  EvalResult BestEval;  ///< Its metrics.
+  unsigned Trials = 0;  ///< Candidates evaluated.
+  unsigned LegalTrials = 0;
+};
 
 struct LevelWalk {
   std::int64_t Multiplier = 1;
@@ -440,21 +508,26 @@ std::vector<Problem> equivalenceWorkloads() {
   return Probs;
 }
 
-void expectSameProfile(const NestProfile &A, const NestProfile &B) {
-  ASSERT_EQ(A.PerTensor.size(), B.PerTensor.size());
-  for (std::size_t TI = 0; TI < A.PerTensor.size(); ++TI) {
-    EXPECT_EQ(A.PerTensor[TI].DramToSram, B.PerTensor[TI].DramToSram);
-    EXPECT_EQ(A.PerTensor[TI].SramToDram, B.PerTensor[TI].SramToDram);
-    EXPECT_EQ(A.PerTensor[TI].SramToReg, B.PerTensor[TI].SramToReg);
-    EXPECT_EQ(A.PerTensor[TI].RegToSram, B.PerTensor[TI].RegToSram);
+/// Every legacy directional pair must sum to the generic per-boundary
+/// count exactly: boundary 0 = SRAM<->registers, 1 = DRAM<->SRAM.
+void expectSameProfile(const MultiProfile &New,
+                       const legacyref::NestProfile &Old) {
+  ASSERT_EQ(New.Words.size(), 2u);
+  ASSERT_EQ(New.Occupancy.size(), 3u);
+  for (std::size_t TI = 0; TI < Old.PerTensor.size(); ++TI) {
+    const legacyref::TensorVolumes &V = Old.PerTensor[TI];
+    EXPECT_EQ(New.Words[1][TI], V.DramToSram + V.SramToDram);
+    EXPECT_EQ(New.Words[0][TI], V.SramToReg + V.RegToSram);
   }
-  EXPECT_EQ(A.RegTileWords, B.RegTileWords);
-  EXPECT_EQ(A.SramTileWords, B.SramTileWords);
-  EXPECT_EQ(A.PEsUsed, B.PEsUsed);
+  EXPECT_EQ(New.Words[0].size(), Old.PerTensor.size());
+  EXPECT_EQ(New.Words[1].size(), Old.PerTensor.size());
+  EXPECT_EQ(New.Occupancy[0], Old.RegTileWords);
+  EXPECT_EQ(New.Occupancy[1], Old.SramTileWords);
+  EXPECT_EQ(New.PEsUsed, Old.PEsUsed);
 }
 
 /// Bit-for-bit: every double compared with exact equality.
-void expectSameEval(const EvalResult &A, const EvalResult &B) {
+void expectSameEval(const EvalResult &A, const legacyref::EvalResult &B) {
   EXPECT_EQ(A.Legal, B.Legal);
   EXPECT_EQ(A.IllegalReason, B.IllegalReason);
   EXPECT_EQ(A.EnergyPj, B.EnergyPj);
@@ -472,13 +545,26 @@ void expectSameEval(const EvalResult &A, const EvalResult &B) {
   expectSameProfile(A.Profile, B.Profile);
 }
 
-void expectSameMapping(const Mapping &A, const Mapping &B) {
-  ASSERT_EQ(A.Factors.size(), B.Factors.size());
+void expectSameMapping(const MultiMapping &New, const Mapping &Old) {
+  const Mapping A = New.toMapping();
+  ASSERT_EQ(A.Factors.size(), Old.Factors.size());
   for (std::size_t I = 0; I < A.Factors.size(); ++I)
     for (unsigned L = 0; L < NumTileLevels; ++L)
-      EXPECT_EQ(A.Factors[I][L], B.Factors[I][L]);
-  EXPECT_EQ(A.DramPerm, B.DramPerm);
-  EXPECT_EQ(A.PePerm, B.PePerm);
+      EXPECT_EQ(A.Factors[I][L], Old.Factors[I][L]);
+  EXPECT_EQ(A.DramPerm, Old.DramPerm);
+  EXPECT_EQ(A.PePerm, Old.PePerm);
+}
+
+/// Diffs one generic mapper search against the legacy one.
+void expectSameSearch(const MultiMapperResult &New,
+                      const legacyref::MapperResult &Old,
+                      const ArchConfig &Arch) {
+  EXPECT_EQ(New.Found, Old.Found);
+  EXPECT_EQ(New.Trials, Old.Trials);
+  EXPECT_EQ(New.LegalTrials, Old.LegalTrials);
+  ASSERT_TRUE(New.Found);
+  expectSameMapping(New.Best, Old.Best);
+  expectSameEval(evalResultFromMulti(Arch, New.BestEval), Old.BestEval);
 }
 
 } // namespace
@@ -493,7 +579,8 @@ TEST(Equivalence, NestProfileMatchesLegacyBitForBit) {
     for (int Trial = 0; Trial < 300; ++Trial) {
       Mapping Map = legacyref::sampleMapping(P, Arch, Divs, R);
       ASSERT_TRUE(Map.validate(P).empty());
-      expectSameProfile(analyzeNest(P, Map), legacyref::analyzeNest(P, Map));
+      expectSameProfile(analyzeClassic(P, Map),
+                        legacyref::analyzeNest(P, Map));
     }
   }
 }
@@ -513,8 +600,8 @@ TEST(Equivalence, EvalResultMatchesLegacyBitForBit) {
       // illegal candidates are diffed.
       legacyref::mutateMapping(Map, R);
       ASSERT_TRUE(Map.validate(P).empty());
-      EvalResult New = evaluateMapping(P, Map, Arch, E);
-      EvalResult Old = legacyref::evaluateMapping(P, Map, Arch, E);
+      EvalResult New = evaluateClassic(P, Map, Arch);
+      legacyref::EvalResult Old = legacyref::evaluateMapping(P, Map, Arch, E);
       expectSameEval(New, Old);
       Illegal += New.Legal ? 0 : 1;
     }
@@ -527,7 +614,7 @@ TEST(Equivalence, UntiledAndDegenerateMappingsMatch) {
   EnergyModel E(TechParams::cgo45nm());
   for (const Problem &P : equivalenceWorkloads()) {
     Mapping Untiled = Mapping::untiled(P);
-    expectSameEval(evaluateMapping(P, Untiled, Arch, E),
+    expectSameEval(evaluateClassic(P, Untiled, Arch),
                    legacyref::evaluateMapping(P, Untiled, Arch, E));
   }
 }
@@ -535,6 +622,7 @@ TEST(Equivalence, UntiledAndDegenerateMappingsMatch) {
 TEST(Equivalence, MapperTrajectoriesMatchLegacyAcrossStrategies) {
   ArchConfig Arch = eyerissArch();
   EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, E.tech());
   Problem P = equivalenceWorkloads()[0];
   for (MapperStrategy Strategy :
        {MapperStrategy::RandomSampling, MapperStrategy::HillClimb,
@@ -548,14 +636,8 @@ TEST(Equivalence, MapperTrajectoriesMatchLegacyAcrossStrategies) {
       Opts.MaxTrials = 768;
       Opts.VictoryCondition = 200;
       Opts.Threads = 1;
-      MapperResult New = searchMappings(P, Arch, E, Opts);
-      MapperResult Old = legacyref::searchMappings(P, Arch, E, Opts);
-      EXPECT_EQ(New.Found, Old.Found);
-      EXPECT_EQ(New.Trials, Old.Trials);
-      EXPECT_EQ(New.LegalTrials, Old.LegalTrials);
-      ASSERT_TRUE(New.Found);
-      expectSameMapping(New.Best, Old.Best);
-      expectSameEval(New.BestEval, Old.BestEval);
+      expectSameSearch(searchMultiMappings(P, Machine, Opts),
+                       legacyref::searchMappings(P, Arch, E, Opts), Arch);
     }
   }
 }
@@ -563,6 +645,7 @@ TEST(Equivalence, MapperTrajectoriesMatchLegacyAcrossStrategies) {
 TEST(Equivalence, MapperMatchesLegacyAtEveryThreadCount) {
   ArchConfig Arch = eyerissArch();
   EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, E.tech());
   Problem P = equivalenceWorkloads()[2];
   MapperOptions Opts;
   Opts.Strategy = MapperStrategy::Anneal;
@@ -570,21 +653,17 @@ TEST(Equivalence, MapperMatchesLegacyAtEveryThreadCount) {
   Opts.MaxTrials = 512;
   Opts.VictoryCondition = 150;
   Opts.Threads = 1;
-  MapperResult Ref = legacyref::searchMappings(P, Arch, E, Opts);
+  legacyref::MapperResult Ref = legacyref::searchMappings(P, Arch, E, Opts);
   ASSERT_TRUE(Ref.Found);
   for (unsigned Threads : {1u, 2u, 5u, 16u}) {
     Opts.Threads = Threads;
-    MapperResult New = searchMappings(P, Arch, E, Opts);
-    EXPECT_EQ(New.Trials, Ref.Trials) << Threads << " threads";
-    EXPECT_EQ(New.LegalTrials, Ref.LegalTrials);
-    ASSERT_TRUE(New.Found);
-    expectSameMapping(New.Best, Ref.Best);
-    expectSameEval(New.BestEval, Ref.BestEval);
+    SCOPED_TRACE(std::to_string(Threads) + " threads");
+    expectSameSearch(searchMultiMappings(P, Machine, Opts), Ref, Arch);
   }
 }
 
 TEST(Equivalence, OptimizerWinnerEvaluatesIdentically) {
-  // The GP optimizer reports metrics through the wrapped evaluator; the
+  // The GP optimizer reports metrics through the generic evaluator; the
   // winner must carry exactly the numbers the legacy evaluator assigns.
   ConvLayer L;
   L.K = 16;

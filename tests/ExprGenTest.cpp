@@ -6,8 +6,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "ir/Builders.h"
-#include "nestmodel/NestAnalysis.h"
 #include "support/Rng.h"
 #include "thistle/ExprGen.h"
 
@@ -272,16 +272,14 @@ TEST(ExprGen, SymbolicMatchesNestModelOnConcreteMapping) {
       A[EG.tripVar(static_cast<TileLevel>(Lv), I)] =
           static_cast<double>(M.Factors[I][Lv]);
 
-  NestProfile Prof = analyzeNest(P, M);
+  MultiProfile Prof = analyzeClassic(P, M);
   std::vector<unsigned> PeTiled = {C, K, W, H};
   std::vector<unsigned> DramTiled = {K, C, H, W};
   for (unsigned TI = 0; TI < 3; ++TI) {
     TensorSymbolicModel Model = EG.buildTensorModel(TI, PeTiled, DramTiled);
     SCOPED_TRACE(P.tensors()[TI].Name);
-    double ExpectedDram = static_cast<double>(
-        Prof.PerTensor[TI].DramToSram + Prof.PerTensor[TI].SramToDram);
-    double ExpectedSR = static_cast<double>(
-        Prof.PerTensor[TI].SramToReg + Prof.PerTensor[TI].RegToSram);
+    double ExpectedDram = static_cast<double>(Prof.Words[1][TI]);
+    double ExpectedSR = static_cast<double>(Prof.Words[0][TI]);
     EXPECT_NEAR(Model.DvDram.evaluate(A), ExpectedDram,
                 1e-9 * ExpectedDram);
     EXPECT_NEAR(Model.DvSramReg.evaluate(A), ExpectedSR, 1e-9 * ExpectedSR);

@@ -7,9 +7,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "ir/Builders.h"
 #include "nestmodel/Mapper.h"
-#include "sim/TiledLoopSim.h"
 #include "support/Rng.h"
 #include "support/MathUtil.h"
 #include "thistle/Optimizer.h"
@@ -46,8 +46,9 @@ ThistleOptions fastOptions(DesignMode Mode, SearchObjective Obj) {
 
 TEST(EdpObjective, EvaluatorReportsProduct) {
   Problem P = makeMatmulProblem(8, 8, 8);
-  EnergyModel E(TechParams::cgo45nm());
-  EvalResult R = evaluateMapping(P, Mapping::untiled(P), eyerissArch(), E);
+  MultiEvalResult R = evaluateMultiMapping(
+      P, Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm()),
+      MultiMapping::fromMapping(P, Mapping::untiled(P)));
   EXPECT_DOUBLE_EQ(R.EdpPjCycles, R.EnergyPj * R.Cycles);
   EXPECT_DOUBLE_EQ(objectiveValue(R, SearchObjective::EnergyDelayProduct),
                    R.EdpPjCycles);
@@ -81,12 +82,13 @@ TEST(EdpObjective, CoDesignBeatsSingleObjectiveDesignsOnEdp) {
 
 TEST(EdpObjective, MapperSupportsEdp) {
   Problem P = makeConvProblem(smallConv());
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions O;
   O.Objective = SearchObjective::EnergyDelayProduct;
   O.MaxTrials = 2000;
   O.VictoryCondition = 500;
-  MapperResult R = searchMappings(P, eyerissArch(), E, O);
+  MultiMapperResult R = searchMultiMappings(P, Machine, O);
   ASSERT_TRUE(R.Found);
   EXPECT_GT(R.BestEval.EdpPjCycles, 0.0);
 }
@@ -145,17 +147,8 @@ TEST(Dilation, ModelMatchesOracleOnDilatedConv) {
     M.PePerm = M.DramPerm;
     R.shuffle(M.DramPerm);
     R.shuffle(M.PePerm);
-    ASSERT_TRUE(M.validate(P).empty());
-
-    NestProfile Model = analyzeNest(P, M);
-    SimResult Oracle = simulateTiledNest(P, M);
-    for (std::size_t T = 0; T < P.tensors().size(); ++T) {
-      SCOPED_TRACE("dilated trial " + std::to_string(Trial) + " tensor " +
-                   P.tensors()[T].Name);
-      EXPECT_EQ(Model.PerTensor[T].DramToSram,
-                Oracle.PerTensor[T].DramToSram);
-      EXPECT_EQ(Model.PerTensor[T].SramToReg, Oracle.PerTensor[T].SramToReg);
-    }
+    SCOPED_TRACE("dilated trial " + std::to_string(Trial));
+    expectModelMatchesOracle(P, M);
   }
 }
 
@@ -213,12 +206,13 @@ TEST(HaloBoundFallback, TinyRegisterFileStaysFeasible) {
       fastOptions(DesignMode::DataflowOnly, SearchObjective::Energy));
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(R.Eval.Legal);
-  EXPECT_LE(R.Eval.Profile.RegTileWords, 4);
+  EXPECT_LE(R.Eval.Profile.Occupancy[0], 4);
 }
 
 TEST(MapperStrategies, AllFindLegalMappings) {
   Problem P = makeConvProblem(smallConv());
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   for (MapperStrategy S :
        {MapperStrategy::RandomSampling, MapperStrategy::HillClimb,
         MapperStrategy::Anneal}) {
@@ -226,27 +220,28 @@ TEST(MapperStrategies, AllFindLegalMappings) {
     O.Strategy = S;
     O.MaxTrials = 2000;
     O.VictoryCondition = 2000;
-    MapperResult R = searchMappings(P, eyerissArch(), E, O);
+    MultiMapperResult R = searchMultiMappings(P, Machine, O);
     ASSERT_TRUE(R.Found) << "strategy " << static_cast<int>(S);
     EXPECT_TRUE(R.BestEval.Legal);
-    EXPECT_TRUE(R.Best.validate(P).empty());
+    EXPECT_TRUE(R.Best.validate(P, Machine).empty());
   }
 }
 
 TEST(MapperStrategies, GuidedSearchBeatsPureRandom) {
   Problem P = makeConvProblem(smallConv());
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   auto run = [&](MapperStrategy S) {
     MapperOptions O;
     O.Strategy = S;
     O.MaxTrials = 3000;
     O.VictoryCondition = 3000;
     O.Seed = 5;
-    return searchMappings(P, eyerissArch(), E, O);
+    return searchMultiMappings(P, Machine, O);
   };
-  MapperResult Random = run(MapperStrategy::RandomSampling);
-  MapperResult Hill = run(MapperStrategy::HillClimb);
-  MapperResult Anneal = run(MapperStrategy::Anneal);
+  MultiMapperResult Random = run(MapperStrategy::RandomSampling);
+  MultiMapperResult Hill = run(MapperStrategy::HillClimb);
+  MultiMapperResult Anneal = run(MapperStrategy::Anneal);
   ASSERT_TRUE(Random.Found);
   ASSERT_TRUE(Hill.Found);
   ASSERT_TRUE(Anneal.Found);
@@ -258,13 +253,14 @@ TEST(MapperStrategies, GuidedSearchBeatsPureRandom) {
 
 TEST(MapperStrategies, AnnealIsDeterministic) {
   Problem P = makeMatmulProblem(16, 16, 16);
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions O;
   O.Strategy = MapperStrategy::Anneal;
   O.MaxTrials = 1000;
   O.Seed = 9;
-  MapperResult A = searchMappings(P, eyerissArch(), E, O);
-  MapperResult B = searchMappings(P, eyerissArch(), E, O);
+  MultiMapperResult A = searchMultiMappings(P, Machine, O);
+  MultiMapperResult B = searchMultiMappings(P, Machine, O);
   ASSERT_TRUE(A.Found);
   EXPECT_DOUBLE_EQ(A.BestEval.EnergyPj, B.BestEval.EnergyPj);
 }

@@ -8,11 +8,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "ir/Builders.h"
-#include "nestmodel/Evaluator.h"
 #include "nestmodel/Mapper.h"
-#include "nestmodel/NestAnalysis.h"
-#include "sim/TiledLoopSim.h"
 #include "support/MathUtil.h"
 #include "support/Rng.h"
 #include "workloads/Workloads.h"
@@ -46,23 +44,6 @@ Mapping randomMapping(const Problem &P, Rng &R) {
   R.shuffle(M.DramPerm);
   R.shuffle(M.PePerm);
   return M;
-}
-
-void expectModelMatchesOracle(const Problem &P, const Mapping &M) {
-  ASSERT_TRUE(M.validate(P).empty());
-  NestProfile Model = analyzeNest(P, M);
-  SimResult Oracle = simulateTiledNest(P, M);
-  for (std::size_t T = 0; T < P.tensors().size(); ++T) {
-    const char *Name = P.tensors()[T].Name.c_str();
-    EXPECT_EQ(Model.PerTensor[T].DramToSram, Oracle.PerTensor[T].DramToSram)
-        << Name << " DRAM->SRAM";
-    EXPECT_EQ(Model.PerTensor[T].SramToDram, Oracle.PerTensor[T].SramToDram)
-        << Name << " SRAM->DRAM";
-    EXPECT_EQ(Model.PerTensor[T].SramToReg, Oracle.PerTensor[T].SramToReg)
-        << Name << " SRAM->reg";
-    EXPECT_EQ(Model.PerTensor[T].RegToSram, Oracle.PerTensor[T].RegToSram)
-        << Name << " reg->SRAM";
-  }
 }
 
 } // namespace
@@ -142,12 +123,12 @@ TEST(NestAnalysis, OccupanciesAndPEs) {
   M.factor(1, TileLevel::Register) = 4;
   M.factor(1, TileLevel::PeTemporal) = 2;
   ASSERT_TRUE(M.validate(P).empty());
-  NestProfile Prof = analyzeNest(P, M);
+  MultiProfile Prof = analyzeClassic(P, M);
   EXPECT_EQ(Prof.PEsUsed, 4);
   // Register tiles: C 2x4, A 2x8, B 8x4 -> 8 + 16 + 32.
-  EXPECT_EQ(Prof.RegTileWords, 8 + 16 + 32);
+  EXPECT_EQ(Prof.Occupancy[0], 8 + 16 + 32);
   // SRAM tiles: C 8x8, A 8x8, B 8x8.
-  EXPECT_EQ(Prof.SramTileWords, 3 * 64);
+  EXPECT_EQ(Prof.Occupancy[1], 3 * 64);
 }
 
 TEST(Evaluator, EnergyDecompositionEq3) {
@@ -158,15 +139,15 @@ TEST(Evaluator, EnergyDecompositionEq3) {
   Arch.RegWordsPerPE = 64;
   Arch.SramWords = 256;
   EnergyModel E(TechParams::cgo45nm());
-  EvalResult Res = evaluateMapping(P, M, Arch, E);
+  EvalResult Res = evaluateClassic(P, M, Arch);
   ASSERT_TRUE(Res.Legal);
 
   double Nops = 64.0;
   double EpsR = E.regAccessPj(64);
   double EpsS = E.sramAccessPj(256);
-  NestProfile Prof = analyzeNest(P, M);
-  double DvD = static_cast<double>(Prof.dramTraffic());
-  double DvSR = static_cast<double>(Prof.sramRegTraffic());
+  MultiProfile Prof = analyzeClassic(P, M);
+  double DvD = static_cast<double>(Prof.boundaryWords(1));
+  double DvSR = static_cast<double>(Prof.boundaryWords(0));
   EXPECT_NEAR(Res.MacEnergyPj, (4 * EpsR + 2.2) * Nops, 1e-9);
   EXPECT_NEAR(Res.RegEnergyPj, EpsR * DvSR, 1e-9);
   EXPECT_NEAR(Res.SramEnergyPj, EpsS * (DvSR + DvD), 1e-9);
@@ -187,8 +168,7 @@ TEST(Evaluator, DelayIsMaxOfComponents) {
   Arch.SramWords = 65536;
   Arch.DramBandwidth = 2.0;
   Arch.SramBandwidth = 64.0;
-  EnergyModel E(TechParams::cgo45nm());
-  EvalResult Res = evaluateMapping(P, M, Arch, E);
+  EvalResult Res = evaluateClassic(P, M, Arch);
   EXPECT_DOUBLE_EQ(
       Res.Cycles,
       std::max({Res.ComputeCycles, Res.DramCycles, Res.SramCycles, 1.0}));
@@ -204,8 +184,7 @@ TEST(Evaluator, FlagsCapacityViolations) {
   Tiny.NumPEs = 1;
   Tiny.RegWordsPerPE = 8;
   Tiny.SramWords = 16;
-  EnergyModel E(TechParams::cgo45nm());
-  EvalResult Res = evaluateMapping(P, M, Tiny, E);
+  EvalResult Res = evaluateClassic(P, M, Tiny);
   EXPECT_FALSE(Res.Legal);
   EXPECT_NE(Res.IllegalReason.find("register"), std::string::npos);
   EXPECT_NE(Res.IllegalReason.find("SRAM"), std::string::npos);
@@ -220,8 +199,7 @@ TEST(Evaluator, FlagsPEOversubscription) {
   Arch.NumPEs = 4;
   Arch.RegWordsPerPE = 4096;
   Arch.SramWords = 65536;
-  EnergyModel E(TechParams::cgo45nm());
-  EvalResult Res = evaluateMapping(P, M, Arch, E);
+  EvalResult Res = evaluateClassic(P, M, Arch);
   EXPECT_FALSE(Res.Legal);
   EXPECT_NE(Res.IllegalReason.find("PEs"), std::string::npos);
 }
@@ -235,8 +213,7 @@ TEST(Evaluator, IllegalReasonUsesFixedDepthWordingInOrder) {
   Tiny.NumPEs = 1;
   Tiny.RegWordsPerPE = 8;
   Tiny.SramWords = 16;
-  EnergyModel E(TechParams::cgo45nm());
-  EvalResult Bad = evaluateMapping(P, M, Tiny, E);
+  EvalResult Bad = evaluateClassic(P, M, Tiny);
   EXPECT_FALSE(Bad.Legal);
   EXPECT_EQ(Bad.IllegalReason, "register tile 512 words > capacity 8; "
                                "SRAM tile 768 words > capacity 16; "
@@ -246,7 +223,7 @@ TEST(Evaluator, IllegalReasonUsesFixedDepthWordingInOrder) {
   Roomy.NumPEs = 2;
   Roomy.RegWordsPerPE = 512;
   Roomy.SramWords = 768;
-  EvalResult Good = evaluateMapping(P, M, Roomy, E);
+  EvalResult Good = evaluateClassic(P, M, Roomy);
   EXPECT_TRUE(Good.Legal);
   EXPECT_EQ(Good.IllegalReason, "");
 }
@@ -261,17 +238,17 @@ TEST(Mapper, FindsLegalMappingOnSmallConv) {
   L.S = 3;
   Problem P = makeConvProblem(L);
   ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine = Hierarchy::classic3Level(Arch, TechParams::cgo45nm());
   MapperOptions Opts;
   Opts.MaxTrials = 2000;
   Opts.VictoryCondition = 500;
-  MapperResult R = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult R = searchMultiMappings(P, Machine, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_TRUE(R.BestEval.Legal);
-  EXPECT_TRUE(R.Best.validate(P).empty());
+  EXPECT_TRUE(R.Best.validate(P, Machine).empty());
   EXPECT_GT(R.LegalTrials, 0u);
   // Searching should beat the trivial untiled mapping...
-  EvalResult Untiled = evaluateMapping(P, Mapping::untiled(P), Arch, E);
+  EvalResult Untiled = evaluateClassic(P, Mapping::untiled(P), Arch);
   if (Untiled.Legal) {
     EXPECT_LE(R.BestEval.EnergyPj, Untiled.EnergyPj);
   }
@@ -279,13 +256,13 @@ TEST(Mapper, FindsLegalMappingOnSmallConv) {
 
 TEST(Mapper, DeterministicForFixedSeed) {
   Problem P = makeMatmulProblem(16, 16, 16);
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions Opts;
   Opts.MaxTrials = 500;
   Opts.Seed = 77;
-  MapperResult A = searchMappings(P, Arch, E, Opts);
-  MapperResult B = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult A = searchMultiMappings(P, Machine, Opts);
+  MultiMapperResult B = searchMultiMappings(P, Machine, Opts);
   ASSERT_TRUE(A.Found);
   ASSERT_TRUE(B.Found);
   EXPECT_DOUBLE_EQ(A.BestEval.EnergyPj, B.BestEval.EnergyPj);
@@ -297,8 +274,8 @@ TEST(Mapper, ResultIsThreadCountInvariant) {
   // applies all bookkeeping in slot order at round boundaries, so every
   // strategy must return bit-identical results at any worker count.
   Problem P = makeMatmulProblem(16, 16, 16);
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   for (MapperStrategy Strategy :
        {MapperStrategy::RandomSampling, MapperStrategy::HillClimb,
         MapperStrategy::Anneal}) {
@@ -308,11 +285,11 @@ TEST(Mapper, ResultIsThreadCountInvariant) {
     Opts.Seed = 7;
     Opts.Strategy = Strategy;
     Opts.Threads = 1;
-    MapperResult Ref = searchMappings(P, Arch, E, Opts);
+    MultiMapperResult Ref = searchMultiMappings(P, Machine, Opts);
     ASSERT_TRUE(Ref.Found);
     for (unsigned Threads : {2u, 8u}) {
       Opts.Threads = Threads;
-      MapperResult R = searchMappings(P, Arch, E, Opts);
+      MultiMapperResult R = searchMultiMappings(P, Machine, Opts);
       SCOPED_TRACE("strategy " +
                    std::to_string(static_cast<int>(Strategy)) + ", " +
                    std::to_string(Threads) + " threads");
@@ -321,22 +298,22 @@ TEST(Mapper, ResultIsThreadCountInvariant) {
       EXPECT_EQ(R.LegalTrials, Ref.LegalTrials);
       EXPECT_EQ(R.BestEval.EnergyPj, Ref.BestEval.EnergyPj);
       EXPECT_EQ(R.BestEval.Cycles, Ref.BestEval.Cycles);
-      EXPECT_EQ(R.Best.Factors, Ref.Best.Factors);
-      EXPECT_EQ(R.Best.DramPerm, Ref.Best.DramPerm);
-      EXPECT_EQ(R.Best.PePerm, Ref.Best.PePerm);
+      EXPECT_EQ(R.Best.TempFactors, Ref.Best.TempFactors);
+      EXPECT_EQ(R.Best.SpatialFactors, Ref.Best.SpatialFactors);
+      EXPECT_EQ(R.Best.Perms, Ref.Best.Perms);
     }
   }
 }
 
 TEST(Mapper, DelayObjectiveImprovesIpc) {
   Problem P = makeMatmulProblem(32, 32, 32);
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions Opts;
   Opts.MaxTrials = 3000;
   Opts.VictoryCondition = 1000;
   Opts.Objective = SearchObjective::Delay;
-  MapperResult R = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult R = searchMultiMappings(P, Machine, Opts);
   ASSERT_TRUE(R.Found);
   // The delay search must find some parallelism: IPC > 1 (the untiled
   // single-PE mapping would have IPC <= 1).
@@ -345,23 +322,23 @@ TEST(Mapper, DelayObjectiveImprovesIpc) {
 
 TEST(Mapper, RespectsVictoryCondition) {
   Problem P = makeMatmulProblem(8, 8, 8);
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions Opts;
   Opts.MaxTrials = 100000;
   Opts.VictoryCondition = 50;
-  MapperResult R = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult R = searchMultiMappings(P, Machine, Opts);
   EXPECT_LT(R.Trials, Opts.MaxTrials);
 }
 
 TEST(Mapper, ExpiredDeadlineStopsBeforeAnyRound) {
   Problem P = makeMatmulProblem(16, 16, 16);
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions Opts;
   Opts.MaxTrials = 500;
   Opts.DeadlineAt = std::chrono::steady_clock::now() - std::chrono::hours(1);
-  MapperResult R = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult R = searchMultiMappings(P, Machine, Opts);
   EXPECT_TRUE(R.DeadlineExpired);
   EXPECT_FALSE(R.Found);
   EXPECT_EQ(R.Trials, 0u);
@@ -372,19 +349,20 @@ TEST(Mapper, FarFutureDeadlineMatchesUnboundedSearch) {
   // A deadline that never fires must not perturb the RNG streams: the
   // check happens at round boundaries, outside the sampling loop.
   Problem P = makeMatmulProblem(16, 16, 16);
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions Opts;
   Opts.MaxTrials = 500;
-  MapperResult Ref = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult Ref = searchMultiMappings(P, Machine, Opts);
   ASSERT_TRUE(Ref.Found);
   Opts.DeadlineAt = std::chrono::steady_clock::now() + std::chrono::hours(24);
-  MapperResult R = searchMappings(P, Arch, E, Opts);
+  MultiMapperResult R = searchMultiMappings(P, Machine, Opts);
   ASSERT_TRUE(R.Found);
   EXPECT_FALSE(R.DeadlineExpired);
   EXPECT_EQ(R.Trials, Ref.Trials);
   EXPECT_EQ(R.BestEval.EnergyPj, Ref.BestEval.EnergyPj);
-  EXPECT_EQ(R.Best.Factors, Ref.Best.Factors);
+  EXPECT_EQ(R.Best.TempFactors, Ref.Best.TempFactors);
+  EXPECT_EQ(R.Best.SpatialFactors, Ref.Best.SpatialFactors);
 }
 
 TEST(Mapper, RejectsInvalidHierarchy) {

@@ -8,8 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "ir/Builders.h"
-#include "nestmodel/Evaluator.h"
 #include "thistle/Network.h"
 #include "workloads/Workloads.h"
 
@@ -410,7 +410,7 @@ TEST(NetworkPersist, DamagedArtifactsDegradeToColdStart) {
   std::string Bad = Dir + "/netpersist-bad.snap";
   {
     std::ofstream Out(Bad, std::ios::binary | std::ios::trunc);
-    Out << "bogus-format/9 snap gpcache2 4 deadbeef\nXXXX";
+    Out << "bogus-format/9 snap gpcache3 4 deadbeef\nXXXX";
   }
   GpSolutionCache Cold;
   GpCachePersistStats Stats;
@@ -454,11 +454,66 @@ TEST(NetworkPersist, DamagedArtifactsDegradeToColdStart) {
   persist::removeFile(Flip);
 }
 
+TEST(NetworkPersist, EntryRoundTripRestoresEvalProfile) {
+  // A gpcache3 entry carries the evaluator's own per-boundary profile;
+  // a snapshot and a journal must both restore it exactly.
+  Problem P = makeMatmulProblem(8, 8, 8);
+  ArchConfig Arch = eyerissArch();
+  Mapping Map = Mapping::untiled(P);
+  Map.factor(0, TileLevel::Register) = 2;
+  Map.factor(0, TileLevel::Spatial) = 4;
+  Map.factor(1, TileLevel::PeTemporal) = 2;
+  Map.factor(1, TileLevel::Register) = 4;
+  ASSERT_TRUE(Map.validate(P).empty());
+  GpCacheEntry Entry;
+  Entry.Outcome = TaskOutcome::Solved;
+  Entry.Attempts = 1;
+  Entry.Design.Found = true;
+  Entry.Design.Arch = Arch;
+  Entry.Design.Map = Map;
+  Entry.Design.Eval = evaluateClassic(P, Map, Arch);
+  Entry.Obj = Entry.Design.Eval.EnergyPj;
+  const MultiProfile Want = Entry.Design.Eval.Profile;
+  ASSERT_EQ(Want.Words.size(), 2u);
+  ASSERT_GT(Want.boundaryWords(0), 0);
+
+  std::string Dir = ::testing::TempDir();
+  std::string Snap = Dir + "/netpersist-roundtrip.snap";
+  std::string Journal = Dir + "/netpersist-roundtrip.journal";
+  persist::removeFile(Journal);
+  GpSolutionCache Writer;
+  ASSERT_TRUE(Writer.attachJournal(Journal).isOk());
+  Writer.insert("entry", Entry);
+  Writer.detachJournal();
+  ASSERT_TRUE(Writer.saveSnapshotFile(Snap).isOk());
+
+  for (const std::string &Path : {Snap, Journal}) {
+    SCOPED_TRACE(Path);
+    GpSolutionCache Back;
+    GpCachePersistStats Stats;
+    Back.loadFile(Path, Stats);
+    EXPECT_EQ(Stats.DataLoss, 0u);
+    GpCacheEntry Got;
+    ASSERT_TRUE(Back.lookup("entry", Got));
+    const EvalResult &E = Got.Design.Eval;
+    EXPECT_EQ(E.Profile.Words, Want.Words);
+    EXPECT_EQ(E.Profile.Occupancy, Want.Occupancy);
+    EXPECT_EQ(E.Profile.PEsUsed, Want.PEsUsed);
+    EXPECT_EQ(E.EnergyPj, Entry.Design.Eval.EnergyPj);
+    EXPECT_EQ(E.Cycles, Entry.Design.Eval.Cycles);
+    EXPECT_EQ(Got.Design.Map.Factors, Map.Factors);
+  }
+  persist::removeFile(Snap);
+  persist::removeFile(Journal);
+}
+
 TEST(NetworkPersist, OlderEncodingIsRejectedWhole) {
   // Before entries lost their structural key and x-space optimum, cache
   // files carried the kind "gpcache" and each entry those two extra
-  // fields. Such files must be refused whole, never half-decoded, and
-  // the run must start cold with unchanged results.
+  // fields; while entries held a directional per-tensor profile, the kind
+  // "gpcache2". Such files must be refused whole, never half-decoded
+  // (the gpcache2 files below hold entries today's decoder could read),
+  // and the run must start cold with unchanged results.
   std::string Dir = ::testing::TempDir();
   std::string Journal = Dir + "/netpersist-current.journal";
   persist::removeFile(Journal);
@@ -468,7 +523,7 @@ TEST(NetworkPersist, OlderEncodingIsRejectedWhole) {
   ASSERT_TRUE(Baseline.Found);
   Writer.detachJournal();
   Expected<persist::JournalContents> Current =
-      persist::readJournalFile(Journal, "gpcache2");
+      persist::readJournalFile(Journal, "gpcache3");
   ASSERT_TRUE(Current);
   ASSERT_FALSE(Current.value().Records.empty());
 
@@ -506,15 +561,32 @@ TEST(NetworkPersist, OlderEncodingIsRejectedWhole) {
   }
   ASSERT_TRUE(persist::writeSnapshotFile(OldSnap, "gpcache", Payload).isOk());
 
+  std::string Snap2 = Dir + "/netpersist-gpcache2.snap";
+  std::string Journal2 = Dir + "/netpersist-gpcache2.journal";
+  persist::removeFile(Journal2);
+  std::string Payload2;
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Journal2, "gpcache2").isOk());
+    for (const std::string &Entry : Current.value().Records) {
+      ASSERT_TRUE(W.append(Entry).isOk());
+      persist::Encoder Frame;
+      Frame.putString(Entry);
+      Payload2 += Frame.takeBytes();
+    }
+  }
+  ASSERT_TRUE(
+      persist::writeSnapshotFile(Snap2, "gpcache2", Payload2).isOk());
+
   GpSolutionCache Cold;
   GpCachePersistStats Stats;
-  Cold.loadFile(OldSnap, Stats);
-  Cold.loadFile(OldJournal, Stats);
+  for (const std::string &Path : {OldSnap, OldJournal, Snap2, Journal2})
+    Cold.loadFile(Path, Stats);
   EXPECT_EQ(Stats.FilesLoaded, 0u);
   EXPECT_EQ(Stats.RecordsRead, 0u);
   EXPECT_EQ(Stats.EntriesLoaded, 0u);
-  EXPECT_EQ(Stats.DataLoss, 2u);
-  ASSERT_EQ(Stats.Problems.size(), 2u);
+  EXPECT_EQ(Stats.DataLoss, 4u);
+  ASSERT_EQ(Stats.Problems.size(), 4u);
   for (const std::string &Problem : Stats.Problems)
     EXPECT_NE(Problem.find("parse-error"), std::string::npos) << Problem;
   EXPECT_EQ(Cold.size(), 0u);
@@ -526,6 +598,8 @@ TEST(NetworkPersist, OlderEncodingIsRejectedWhole) {
   persist::removeFile(Journal);
   persist::removeFile(OldSnap);
   persist::removeFile(OldJournal);
+  persist::removeFile(Snap2);
+  persist::removeFile(Journal2);
 }
 
 namespace {

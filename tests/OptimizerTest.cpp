@@ -44,9 +44,9 @@ TEST(Optimizer, MatmulDataflowOnEyeriss) {
   EXPECT_TRUE(R.Map.validate(P).empty());
 
   // The optimized dataflow must beat the untiled mapping.
-  EnergyModel E(TechParams::cgo45nm());
-  EvalResult Untiled =
-      evaluateMapping(P, Mapping::untiled(P), eyerissArch(), E);
+  MultiEvalResult Untiled = evaluateMultiMapping(
+      P, Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm()),
+      MultiMapping::fromMapping(P, Mapping::untiled(P)));
   if (Untiled.Legal) {
     EXPECT_LT(R.Eval.EnergyPj, Untiled.EnergyPj);
   }

@@ -7,11 +7,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "expr/FactoredExpr.h"
 #include "ir/Builders.h"
-#include "nestmodel/Evaluator.h"
-#include "nestmodel/NestAnalysis.h"
-#include "sim/TiledLoopSim.h"
 #include "solver/GpSolver.h"
 #include "support/MathUtil.h"
 #include "support/Rng.h"
@@ -214,15 +212,8 @@ TEST(ModelProperties, BatchedConvMatchesOracle) {
     R.shuffle(M.PePerm);
     ASSERT_TRUE(M.validate(P).empty());
 
-    NestProfile Model = analyzeNest(P, M);
-    SimResult Oracle = simulateTiledNest(P, M);
-    for (std::size_t T = 0; T < P.tensors().size(); ++T) {
-      SCOPED_TRACE("batched trial " + std::to_string(Trial));
-      EXPECT_EQ(Model.PerTensor[T].DramToSram,
-                Oracle.PerTensor[T].DramToSram);
-      EXPECT_EQ(Model.PerTensor[T].SramToReg,
-                Oracle.PerTensor[T].SramToReg);
-    }
+    SCOPED_TRACE("batched trial " + std::to_string(Trial));
+    expectModelMatchesOracle(P, M);
   }
 }
 
@@ -257,15 +248,8 @@ TEST(ModelProperties, MixedStrideRectangularConvMatchesOracle) {
     M.PePerm = M.DramPerm;
     R.shuffle(M.DramPerm);
     R.shuffle(M.PePerm);
-    NestProfile Model = analyzeNest(P, M);
-    SimResult Oracle = simulateTiledNest(P, M);
-    for (std::size_t T = 0; T < P.tensors().size(); ++T) {
-      SCOPED_TRACE("mixed trial " + std::to_string(Trial));
-      EXPECT_EQ(Model.PerTensor[T].DramToSram,
-                Oracle.PerTensor[T].DramToSram);
-      EXPECT_EQ(Model.PerTensor[T].SramToReg,
-                Oracle.PerTensor[T].SramToReg);
-    }
+    SCOPED_TRACE("mixed trial " + std::to_string(Trial));
+    expectModelMatchesOracle(P, M);
   }
 }
 
@@ -273,8 +257,8 @@ TEST(ModelProperties, EvaluatorMonotoneInArchitectureGenerosity) {
   // Growing every capacity can only keep a legal mapping legal, and the
   // energy changes only through the per-access laws.
   Problem P = makeMatmulProblem(16, 16, 16);
-  Mapping M = Mapping::untiled(P);
-  EnergyModel E(TechParams::cgo45nm());
+  MultiMapping M = MultiMapping::fromMapping(P, Mapping::untiled(P));
+  TechParams Tech = TechParams::cgo45nm();
   ArchConfig Small;
   Small.NumPEs = 4;
   Small.RegWordsPerPE = 1024;
@@ -283,8 +267,10 @@ TEST(ModelProperties, EvaluatorMonotoneInArchitectureGenerosity) {
   Big.NumPEs = 64;
   Big.RegWordsPerPE = 4096;
   Big.SramWords = 65536;
-  EvalResult RS = evaluateMapping(P, M, Small, E);
-  EvalResult RB = evaluateMapping(P, M, Big, E);
+  MultiEvalResult RS =
+      evaluateMultiMapping(P, Hierarchy::classic3Level(Small, Tech), M);
+  MultiEvalResult RB =
+      evaluateMultiMapping(P, Hierarchy::classic3Level(Big, Tech), M);
   EXPECT_TRUE(!RS.Legal || RB.Legal);
   // Bigger register files make each access more expensive (Eq. 4).
   EXPECT_GT(RB.EnergyPj, RS.EnergyPj);

@@ -55,11 +55,11 @@ TEST(Reproduction, Fig4ThistleMatchesMapperOnEnergy) {
   // slightly better.
   ConvLayer L = yolo9000Layers()[6];
   Problem P = makeConvProblem(L);
-  EnergyModel Energy(Tech);
   MapperOptions MO;
   MO.MaxTrials = 10000;
   MO.VictoryCondition = 3000;
-  MapperResult M = searchMappings(P, eyerissArch(), Energy, MO);
+  MultiMapperResult M = searchMultiMappings(
+      P, Hierarchy::classic3Level(eyerissArch(), Tech), MO);
   ThistleResult T = runDataflow(L, SearchObjective::Energy);
   ASSERT_TRUE(M.Found);
   ASSERT_TRUE(T.Found);

@@ -1,13 +1,16 @@
-//===- tests/SimTest.cpp - sim/ oracle unit tests -------------------------===//
+//===- tests/SimTest.cpp - Brute-force oracle unit tests ------------------===//
 //
-// Hand-derived data-movement counts for small mappings, including the
-// paper's Eq. 1 / Eq. 2 matrix-multiplication closed forms.
+// Hand-derived data-movement counts for small mappings on the classic
+// register/SRAM/DRAM machine (multilevel/MultiSim at
+// Hierarchy::classic3Shape: boundary 0 = SRAM<->registers, boundary 1 =
+// DRAM<->SRAM), including the paper's Eq. 1 / Eq. 2
+// matrix-multiplication closed forms.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ClassicMachine.h"
 #include "ir/Builders.h"
 #include "nestmodel/CostEvaluator.h"
-#include "sim/TiledLoopSim.h"
 
 #include <gtest/gtest.h>
 
@@ -38,14 +41,14 @@ Mapping matmulMapping(const Problem &P, std::int64_t R, std::int64_t Q,
 TEST(TiledLoopSim, UntiledMovesEachTensorOnce) {
   Problem P = makeMatmulProblem(4, 4, 4);
   Mapping M = Mapping::untiled(P);
-  SimResult R = simulateTiledNest(P, M);
+  MultiSimResult R = simulateClassic(P, M);
   // Everything fits in one tile: each tensor loaded once, C stored once.
-  EXPECT_EQ(R.PerTensor[0].DramToSram, 16); // C
-  EXPECT_EQ(R.PerTensor[0].SramToDram, 16);
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 16); // A
-  EXPECT_EQ(R.PerTensor[1].SramToDram, 0);
-  EXPECT_EQ(R.PerTensor[2].DramToSram, 16); // B
-  EXPECT_EQ(R.PerTensor[2].SramToDram, 0);
+  EXPECT_EQ(R.Loads[1][0], 16); // C
+  EXPECT_EQ(R.Stores[1][0], 16);
+  EXPECT_EQ(R.Loads[1][1], 16); // A
+  EXPECT_EQ(R.Stores[1][1], 0);
+  EXPECT_EQ(R.Loads[1][2], 16); // B
+  EXPECT_EQ(R.Stores[1][2], 0);
 }
 
 TEST(TiledLoopSim, MatmulEq1DramVolumes) {
@@ -53,11 +56,11 @@ TEST(TiledLoopSim, MatmulEq1DramVolumes) {
   // Eq. 1: DVol_A = Ni*Nk, DVol_B = Ni*Nj*Nk/Si, DVol_C = Ni*Nj*Nk/Sk.
   Problem P = makeMatmulProblem(4, 4, 4);
   Mapping M = matmulMapping(P, /*R=*/2, /*Q=*/1, /*Sp=*/1, /*S=*/2);
-  SimResult R = simulateTiledNest(P, M);
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 4 * 4);         // A: Ni*Nk.
-  EXPECT_EQ(R.PerTensor[2].DramToSram, 4 * 4 * 4 / 2); // B: NiNjNk/Si.
-  EXPECT_EQ(R.PerTensor[0].DramToSram, 4 * 4 * 4 / 2); // C: NiNjNk/Sk.
-  EXPECT_EQ(R.PerTensor[0].SramToDram, 4 * 4 * 4 / 2);
+  MultiSimResult R = simulateClassic(P, M);
+  EXPECT_EQ(R.Loads[1][1], 4 * 4);         // A: Ni*Nk.
+  EXPECT_EQ(R.Loads[1][2], 4 * 4 * 4 / 2); // B: NiNjNk/Si.
+  EXPECT_EQ(R.Loads[1][0], 4 * 4 * 4 / 2); // C: NiNjNk/Sk.
+  EXPECT_EQ(R.Stores[1][0], 4 * 4 * 4 / 2);
 }
 
 TEST(TiledLoopSim, MatmulEq2RegisterVolumes) {
@@ -65,11 +68,11 @@ TEST(TiledLoopSim, MatmulEq2RegisterVolumes) {
   // DVol_A = NiNjNk / (Rj * Pj) = 64 / 2 = 32, same for B and C.
   Problem P = makeMatmulProblem(4, 4, 4);
   Mapping M = matmulMapping(P, 2, 1, 1, 2);
-  SimResult R = simulateTiledNest(P, M);
-  EXPECT_EQ(R.PerTensor[1].SramToReg, 32); // A.
-  EXPECT_EQ(R.PerTensor[2].SramToReg, 32); // B.
-  EXPECT_EQ(R.PerTensor[0].SramToReg, 32); // C reads...
-  EXPECT_EQ(R.PerTensor[0].RegToSram, 32); // ...and writes.
+  MultiSimResult R = simulateClassic(P, M);
+  EXPECT_EQ(R.Loads[0][1], 32); // A.
+  EXPECT_EQ(R.Loads[0][2], 32); // B.
+  EXPECT_EQ(R.Loads[0][0], 32); // C reads...
+  EXPECT_EQ(R.Stores[0][0], 32); // ...and writes.
 }
 
 TEST(TiledLoopSim, SpatialMulticastCollapsesAbsentIterators) {
@@ -86,15 +89,15 @@ TEST(TiledLoopSim, SpatialMulticastCollapsesAbsentIterators) {
   M.factor(Ij, TileLevel::Spatial) = 2;
   ASSERT_TRUE(M.validate(P).empty());
   ASSERT_EQ(M.numPEsUsed(), 4);
-  SimResult R = simulateTiledNest(P, M);
+  MultiSimResult R = simulateClassic(P, M);
 
   // A: 2x4 register tile, p_i = 2 distinct copies, p_j multicast.
-  EXPECT_EQ(R.PerTensor[1].SramToReg, 2 * (2 * 4));
+  EXPECT_EQ(R.Loads[0][1], 2 * (2 * 4));
   // B symmetric (multicast across p_i).
-  EXPECT_EQ(R.PerTensor[2].SramToReg, 2 * (2 * 4));
+  EXPECT_EQ(R.Loads[0][2], 2 * (2 * 4));
   // C: present in both spatial dims: 4 PEs x 2x2 tile.
-  EXPECT_EQ(R.PerTensor[0].SramToReg, 4 * 4);
-  EXPECT_EQ(R.PerTensor[0].RegToSram, 4 * 4);
+  EXPECT_EQ(R.Loads[0][0], 4 * 4);
+  EXPECT_EQ(R.Stores[0][0], 4 * 4);
 }
 
 TEST(TiledLoopSim, HoistingSkipsInnermostAbsentLoop) {
@@ -102,11 +105,11 @@ TEST(TiledLoopSim, HoistingSkipsInnermostAbsentLoop) {
   // re-loaded across the j loop.
   Problem P = makeMatmulProblem(4, 4, 4);
   Mapping M = matmulMapping(P, 1, 1, 1, 4); // SRAM tiles of 1x1x1.
-  SimResult R = simulateTiledNest(P, M);
+  MultiSimResult R = simulateClassic(P, M);
   // A: loaded once per (i, k): 16 words total; union streaming along k.
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 16);
+  EXPECT_EQ(R.Loads[1][1], 16);
   // B: re-loaded for every (i, k, j): 64.
-  EXPECT_EQ(R.PerTensor[2].DramToSram, 64);
+  EXPECT_EQ(R.Loads[1][2], 64);
 }
 
 TEST(TiledLoopSim, ConvHaloIsLoadedOnceWhenStreaming) {
@@ -126,10 +129,10 @@ TEST(TiledLoopSim, ConvHaloIsLoadedOnceWhenStreaming) {
   M.factor(H, TileLevel::Register) = 2;
   M.factor(H, TileLevel::DramTemporal) = 4;
   ASSERT_TRUE(M.validate(P).empty());
-  SimResult R = simulateTiledNest(P, M);
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 10); // In: 4 + 3*(2*1) halo union.
-  EXPECT_EQ(R.PerTensor[0].DramToSram, 8);  // Out: each tile once.
-  EXPECT_EQ(R.PerTensor[2].DramToSram, 3);  // Ker: hoisted, loaded once.
+  MultiSimResult R = simulateClassic(P, M);
+  EXPECT_EQ(R.Loads[1][1], 10); // In: 4 + 3*(2*1) halo union.
+  EXPECT_EQ(R.Loads[1][0], 8);  // Out: each tile once.
+  EXPECT_EQ(R.Loads[1][2], 3);  // Ker: hoisted, loaded once.
 }
 
 TEST(TiledLoopSim, StridedConvLeavesHolesBetweenTiles) {
@@ -149,11 +152,11 @@ TEST(TiledLoopSim, StridedConvLeavesHolesBetweenTiles) {
   unsigned H = P.iteratorIndex("h");
   M.factor(H, TileLevel::Register) = 2;
   M.factor(H, TileLevel::DramTemporal) = 4;
-  SimResult R = simulateTiledNest(P, M);
+  MultiSimResult R = simulateClassic(P, M);
   // Each 2-point tile covers a dense box of 2*(2-1)+1 = 3 input rows;
   // 4 disjoint tiles -> 12 words (the dense hull 2*8-1 = 15 would be an
   // overcount).
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 12);
+  EXPECT_EQ(R.Loads[1][1], 12);
 }
 
 TEST(TiledLoopSim, DilatedConvCountsDenseBoxesHolesIncluded) {
@@ -180,9 +183,9 @@ TEST(TiledLoopSim, DilatedConvCountsDenseBoxesHolesIncluded) {
   M.factor(H, TileLevel::Register) = 1;
   M.factor(H, TileLevel::DramTemporal) = 4;
   ASSERT_TRUE(M.validate(P).empty());
-  SimResult R = simulateTiledNest(P, M);
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 16);
-  EXPECT_EQ(R.PerTensor[0].DramToSram, 4); // Out: one row per tile.
+  MultiSimResult R = simulateClassic(P, M);
+  EXPECT_EQ(R.Loads[1][1], 16);
+  EXPECT_EQ(R.Loads[1][0], 4); // Out: one row per tile.
 }
 
 TEST(TiledLoopSim, DilatedSimMatchesAnalyticalNestModel) {
@@ -207,9 +210,9 @@ TEST(TiledLoopSim, DilatedSimMatchesAnalyticalNestModel) {
     M.factor(H, TileLevel::DramTemporal) = 4;
     ASSERT_TRUE(M.validate(P).empty());
     Hierarchy Shape = Hierarchy::classic3Shape();
-    MultiProfile Sim = simulatedProfile(P, M);
-    MultiProfile Nest = analyzeMultiNest(P, Shape,
-                                         MultiMapping::fromMapping(P, M));
+    MultiMapping MM = MultiMapping::fromMapping(P, M);
+    MultiProfile Sim = simulateMultiNestProfile(P, Shape, MM);
+    MultiProfile Nest = analyzeMultiNest(P, Shape, MM);
     ProfileDivergence Div = compareProfiles(P, Shape, Nest, Sim);
     EXPECT_FALSE(Div.diverged())
         << (Div.Samples.empty() ? "no sample" : Div.Samples[0].Counter);
@@ -235,10 +238,10 @@ TEST(TiledLoopSim, TransposedConvScatterIsLoadStoreSymmetric) {
   M.factor(H, TileLevel::Register) = 2;
   M.factor(H, TileLevel::DramTemporal) = 3;
   ASSERT_TRUE(M.validate(P).empty());
-  SimResult R = simulateTiledNest(P, M);
-  EXPECT_EQ(R.PerTensor[0].DramToSram, 13); // Out: 5 + 4 + 4.
-  EXPECT_EQ(R.PerTensor[0].SramToDram, 13); // Symmetric write-back.
-  EXPECT_EQ(R.PerTensor[1].DramToSram, 6);  // In: each row once.
+  MultiSimResult R = simulateClassic(P, M);
+  EXPECT_EQ(R.Loads[1][0], 13); // Out: 5 + 4 + 4.
+  EXPECT_EQ(R.Stores[1][0], 13); // Symmetric write-back.
+  EXPECT_EQ(R.Loads[1][1], 6);  // In: each row once.
 }
 
 TEST(TiledLoopSim, ReadWriteSymmetry) {
@@ -251,23 +254,26 @@ TEST(TiledLoopSim, ReadWriteSymmetry) {
   M.factor(1, TileLevel::PeTemporal) = 2;
   M.factor(1, TileLevel::Register) = 2;
   ASSERT_TRUE(M.validate(P).empty());
-  SimResult R = simulateTiledNest(P, M);
-  EXPECT_EQ(R.PerTensor[0].DramToSram, R.PerTensor[0].SramToDram);
-  EXPECT_EQ(R.PerTensor[0].SramToReg, R.PerTensor[0].RegToSram);
+  MultiSimResult R = simulateClassic(P, M);
+  EXPECT_EQ(R.Loads[1][0], R.Stores[1][0]);
+  EXPECT_EQ(R.Loads[0][0], R.Stores[0][0]);
   // Read-only tensors never write back.
-  EXPECT_EQ(R.PerTensor[1].SramToDram, 0);
-  EXPECT_EQ(R.PerTensor[1].RegToSram, 0);
+  EXPECT_EQ(R.Stores[1][1], 0);
+  EXPECT_EQ(R.Stores[0][1], 0);
 }
 
 TEST(TiledLoopSim, TotalsAggregate) {
   Problem P = makeMatmulProblem(4, 4, 4);
   Mapping M = matmulMapping(P, 2, 1, 1, 2);
-  SimResult R = simulateTiledNest(P, M);
-  std::int64_t Dram = 0, SramReg = 0;
-  for (const SimTensorTraffic &T : R.PerTensor) {
-    Dram += T.DramToSram + T.SramToDram;
-    SramReg += T.SramToReg + T.RegToSram;
+  MultiSimResult R = simulateClassic(P, M);
+  MultiProfile Totals = simulateMultiNestProfile(
+      P, Hierarchy::classic3Shape(), MultiMapping::fromMapping(P, M));
+  for (unsigned B = 0; B < 2; ++B) {
+    std::int64_t Sum = 0;
+    for (std::size_t T = 0; T < P.tensors().size(); ++T) {
+      EXPECT_EQ(R.Words[B][T], R.Loads[B][T] + R.Stores[B][T]);
+      Sum += R.Loads[B][T] + R.Stores[B][T];
+    }
+    EXPECT_EQ(Totals.boundaryWords(B), Sum);
   }
-  EXPECT_EQ(R.totalDramTraffic(), Dram);
-  EXPECT_EQ(R.totalSramRegTraffic(), SramReg);
 }

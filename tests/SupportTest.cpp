@@ -566,6 +566,68 @@ TEST(Persist, JournalTornTailKeepsIntactPrefix) {
   persist::removeFile(Path);
 }
 
+TEST(Persist, JournalReopenStartsOverOnAnotherKind) {
+  // Records appended behind a header the reader rejects would be lost to
+  // the next load, so reopening such a file starts a fresh journal.
+  std::string Path = tmpPath("persist-otherkind.log");
+  persist::removeFile(Path);
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "older").isOk());
+    ASSERT_TRUE(W.append("stale").isOk());
+  }
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "unit").isOk());
+    ASSERT_TRUE(W.append("fresh").isOk());
+  }
+  Expected<persist::JournalContents> Back =
+      persist::readJournalFile(Path, "unit");
+  ASSERT_TRUE(Back.hasValue()) << Back.status().toString();
+  EXPECT_FALSE(Back.value().Truncated);
+  ASSERT_EQ(Back.value().Records.size(), 1u);
+  EXPECT_EQ(Back.value().Records[0], "fresh");
+
+  // A file with no recognizable header at all starts over the same way.
+  spit(Path, "not a journal\n");
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "unit").isOk());
+    ASSERT_TRUE(W.append("again").isOk());
+  }
+  Back = persist::readJournalFile(Path, "unit");
+  ASSERT_TRUE(Back.hasValue()) << Back.status().toString();
+  ASSERT_EQ(Back.value().Records.size(), 1u);
+  EXPECT_EQ(Back.value().Records[0], "again");
+  persist::removeFile(Path);
+}
+
+TEST(Persist, JournalReopenCutsTornTail) {
+  // A SIGKILL mid-append leaves a torn frame; records appended behind it
+  // would be dropped with the tail, so reopening cuts the tail first.
+  std::string Path = tmpPath("persist-reopen-torn.log");
+  persist::removeFile(Path);
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "unit").isOk());
+    ASSERT_TRUE(W.append("alpha").isOk());
+  }
+  spit(Path, slurp(Path) + "rec 50 0123abcd\nhalf");
+  {
+    persist::JournalWriter W;
+    ASSERT_TRUE(W.open(Path, "unit").isOk());
+    ASSERT_TRUE(W.append("beta").isOk());
+  }
+  Expected<persist::JournalContents> Back =
+      persist::readJournalFile(Path, "unit");
+  ASSERT_TRUE(Back.hasValue());
+  EXPECT_FALSE(Back.value().Truncated) << Back.value().Problem;
+  ASSERT_EQ(Back.value().Records.size(), 2u);
+  EXPECT_EQ(Back.value().Records[0], "alpha");
+  EXPECT_EQ(Back.value().Records[1], "beta");
+  persist::removeFile(Path);
+}
+
 #if THISTLE_FAULT_INJECTION_ENABLED
 
 TEST(Persist, FaultSitesCoverBothArtifacts) {

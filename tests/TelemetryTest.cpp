@@ -244,29 +244,29 @@ TEST(Telemetry, CollectionNeverPerturbsResults) {
 TEST(Telemetry, MapperSearchStopCauses) {
   TelemetryGuard Guard;
   Problem P = makeConvProblem(smallConv());
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
 
   MapperOptions Victory;
   Victory.Seed = 7;
   Victory.MaxTrials = 4000;
   Victory.VictoryCondition = 64;
   Victory.TrialsPerRound = 32;
-  MapperResult RV = searchMappings(P, Arch, E, Victory);
+  MultiMapperResult RV = searchMultiMappings(P, Machine, Victory);
   ASSERT_TRUE(RV.Found);
   EXPECT_EQ(RV.StopCause, MapperStopCause::Victory);
 
   MapperOptions Budget = Victory;
   Budget.MaxTrials = 64;
   Budget.VictoryCondition = 100000;
-  MapperResult RB = searchMappings(P, Arch, E, Budget);
+  MultiMapperResult RB = searchMultiMappings(P, Machine, Budget);
   EXPECT_EQ(RB.StopCause, MapperStopCause::MaxTrials);
   EXPECT_LE(RB.Trials, 64u);
 
   MapperOptions Expired = Victory;
   Expired.DeadlineAt = std::chrono::steady_clock::now() -
                        std::chrono::milliseconds(1);
-  MapperResult RD = searchMappings(P, Arch, E, Expired);
+  MultiMapperResult RD = searchMultiMappings(P, Machine, Expired);
   EXPECT_TRUE(RD.DeadlineExpired);
   EXPECT_EQ(RD.StopCause, MapperStopCause::Deadline);
   EXPECT_EQ(RD.Trials, 0u);
@@ -281,8 +281,8 @@ TEST(Telemetry, MapperSearchStopCauses) {
 TEST(Telemetry, MapperStopCauseIsThreadCountInvariant) {
   TelemetryGuard Guard;
   Problem P = makeConvProblem(smallConv());
-  ArchConfig Arch = eyerissArch();
-  EnergyModel E(TechParams::cgo45nm());
+  Hierarchy Machine =
+      Hierarchy::classic3Level(eyerissArch(), TechParams::cgo45nm());
   MapperOptions O;
   O.Seed = 11;
   O.MaxTrials = 2000;
@@ -290,9 +290,9 @@ TEST(Telemetry, MapperStopCauseIsThreadCountInvariant) {
   O.TrialsPerRound = 32;
 
   O.Threads = 1;
-  MapperResult R1 = searchMappings(P, Arch, E, O);
+  MultiMapperResult R1 = searchMultiMappings(P, Machine, O);
   O.Threads = 8;
-  MapperResult R8 = searchMappings(P, Arch, E, O);
+  MultiMapperResult R8 = searchMultiMappings(P, Machine, O);
   EXPECT_EQ(R1.StopCause, R8.StopCause);
   EXPECT_EQ(R1.Trials, R8.Trials);
   EXPECT_EQ(R1.LegalTrials, R8.LegalTrials);

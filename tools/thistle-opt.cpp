@@ -864,12 +864,13 @@ int main(int Argc, char **Argv) {
       }
       std::ostringstream Text;
       Text << In.rdbuf();
-      std::string Error;
-      if (!parseHierarchy(Text.str(), H, Error)) {
+      Expected<Hierarchy> Parsed = parseHierarchy(Text.str());
+      if (!Parsed) {
         std::fprintf(stderr, "error: %s: %s\n", HierarchySpec.c_str(),
-                     Error.c_str());
+                     Parsed.status().message().c_str());
         return finish(2);
       }
+      H = Parsed.takeValue();
     }
     return finish(runHierarchy(Prob, H, Options, Tech, RR));
   }
