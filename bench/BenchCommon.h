@@ -29,9 +29,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace thistle::bench {
 
@@ -113,6 +117,100 @@ inline double minSecondsOfN(unsigned Reps, BodyFn &&Body) {
     Best = std::min(Best, T.seconds());
   }
   return Best;
+}
+
+/// Sets the top-level member \p Key of the JSON object in \p Path to the
+/// JSON text \p Value: a member of that name is replaced in place,
+/// otherwise one is appended. A missing or unreadable file starts a fresh
+/// object. Benches that record into a shared file (BENCH_parallel.json)
+/// write through this, so a rerun never leaves a duplicate key.
+inline void writeJsonMember(const char *Path, const std::string &Key,
+                            const std::string &Value) {
+  std::string Text;
+  if (std::FILE *F = std::fopen(Path, "r")) {
+    char Buf[4096];
+    std::size_t Got;
+    while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
+      Text.append(Buf, Got);
+    std::fclose(F);
+  }
+
+  // The object's members as (key, raw value text): the scan tracks only
+  // strings and bracket depth, so nested values keep their layout.
+  std::vector<std::pair<std::string, std::string>> Members;
+  auto skipSpace = [&](std::size_t &I) {
+    while (I < Text.size() && std::isspace(static_cast<unsigned char>(
+                                  Text[I])))
+      ++I;
+  };
+  std::size_t I = Text.find('{');
+  if (I != std::string::npos) {
+    ++I;
+    while (true) {
+      skipSpace(I);
+      if (I >= Text.size() || Text[I] != '"')
+        break;
+      std::size_t KeyEnd = Text.find('"', I + 1);
+      if (KeyEnd == std::string::npos)
+        break;
+      std::string Name = Text.substr(I + 1, KeyEnd - I - 1);
+      I = KeyEnd + 1;
+      skipSpace(I);
+      if (I >= Text.size() || Text[I] != ':')
+        break;
+      ++I;
+      skipSpace(I);
+      const std::size_t Start = I;
+      int Depth = 0;
+      bool InString = false;
+      for (; I < Text.size(); ++I) {
+        char C = Text[I];
+        if (InString) {
+          if (C == '\\')
+            ++I;
+          else if (C == '"')
+            InString = false;
+        } else if (C == '"') {
+          InString = true;
+        } else if (C == '{' || C == '[') {
+          ++Depth;
+        } else if (C == '}' || C == ']') {
+          if (Depth == 0)
+            break;
+          --Depth;
+        } else if (C == ',' && Depth == 0) {
+          break;
+        }
+      }
+      std::size_t End = I;
+      while (End > Start &&
+             std::isspace(static_cast<unsigned char>(Text[End - 1])))
+        --End;
+      Members.emplace_back(std::move(Name), Text.substr(Start, End - Start));
+      if (I >= Text.size() || Text[I] != ',')
+        break;
+      ++I;
+    }
+  }
+
+  auto Same = std::find_if(Members.begin(), Members.end(),
+                           [&](const auto &M) { return M.first == Key; });
+  if (Same != Members.end())
+    Same->second = Value;
+  else
+    Members.emplace_back(Key, Value);
+
+  std::string Out = "{\n";
+  for (std::size_t M = 0; M < Members.size(); ++M)
+    Out += "  \"" + Members[M].first + "\": " + Members[M].second +
+           (M + 1 < Members.size() ? ",\n" : "\n");
+  Out += "}\n";
+  if (std::FILE *F = std::fopen(Path, "w")) {
+    std::fwrite(Out.data(), 1, Out.size(), F);
+    std::fclose(F);
+  } else {
+    std::fprintf(stderr, "cannot write %s\n", Path);
+  }
 }
 
 /// Prints the standard bench header.

@@ -7,9 +7,8 @@
 // It also writes BENCH_rounding.json to the working directory: the speed
 // record of the rounding and cost-evaluation hot path on two dataflow
 // runs that it dominates. The committed copy of that file also carries a
-// "before" block: the same measurements on the tree before the
-// evaluator stopped formatting diagnostics and rebuilding the hierarchy
-// for every legal candidate.
+// "before" block: the same measurements, by this source, on the tree
+// before the last change to the evaluator's hot path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +65,7 @@ struct RoundingRecord {
   std::size_t Candidates = 0; ///< Integer candidates scored.
 };
 
-constexpr unsigned RecordReps = 3;
+constexpr unsigned RecordReps = 15;
 
 /// Times \p Run (which takes a worker count, 0 = one per core, and
 /// returns the number of candidates it scored) at one worker and at

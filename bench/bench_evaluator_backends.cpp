@@ -4,9 +4,9 @@
 // Table II layer: evaluations per second of the nest walk, the
 // MAESTRO-style data-centric model, and the cross-checking "both" mode
 // (which runs the two models plus the counter diff on every call). The
-// headline rates are appended to BENCH_parallel.json as an "evaluator"
-// section so the cost of the cross-check — and any regression in either
-// backend — is tracked across PRs.
+// headline rates are written to BENCH_parallel.json as its "evaluator"
+// section (replacing an earlier one) so the cost of the cross-check — and
+// any regression in either backend — is tracked from change to change.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,33 +75,6 @@ double evalsPerSecond(const CostEvaluator &Eval, const Problem &Prob,
   return Best;
 }
 
-void appendSection(const char *Path, const std::string &Section) {
-  std::string Existing;
-  if (std::FILE *F = std::fopen(Path, "r")) {
-    char Buf[4096];
-    std::size_t Got;
-    while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-      Existing.append(Buf, Got);
-    std::fclose(F);
-  }
-  std::size_t Close = Existing.rfind('}');
-  std::string Out;
-  if (Close == std::string::npos) {
-    Out = "{\n" + Section + "}\n";
-  } else {
-    Out = Existing.substr(0, Close);
-    while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
-      Out.pop_back();
-    Out += ",\n" + Section + "}\n";
-  }
-  if (std::FILE *F = std::fopen(Path, "w")) {
-    std::fwrite(Out.data(), 1, Out.size(), F);
-    std::fclose(F);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", Path);
-  }
-}
-
 } // namespace
 
 int main() {
@@ -134,7 +107,7 @@ int main() {
       {"both", &Both},
   };
 
-  std::string Section = "  \"evaluator\": {\n";
+  std::string Section = "{\n";
   double NestRate = 0.0;
   for (Row &Entry : Rows) {
     Entry.Rate = evalsPerSecond(*Entry.Eval, Prob, H, Pool, Rounds);
@@ -148,7 +121,7 @@ int main() {
     Section += Buf;
   }
   char Buf[96];
-  std::snprintf(Buf, sizeof(Buf), "    \"cross_check_overhead\": %.3f\n  }\n",
+  std::snprintf(Buf, sizeof(Buf), "    \"cross_check_overhead\": %.3f\n  }",
                 Rows[2].Rate > 0.0 ? NestRate / Rows[2].Rate : 0.0);
   Section += Buf;
 
@@ -162,7 +135,7 @@ int main() {
     return 1;
   }
 
-  appendSection("BENCH_parallel.json", Section);
-  std::printf("\nappended evaluator section to BENCH_parallel.json\n");
+  writeJsonMember("BENCH_parallel.json", "evaluator", Section);
+  std::printf("\nwrote the evaluator section of BENCH_parallel.json\n");
   return 0;
 }

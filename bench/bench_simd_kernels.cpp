@@ -4,8 +4,9 @@
 // naive scalar loops the solver used before the layer existed: blocked
 // dot, axpy, the fused exp-and-accumulate of log-sum-exp assembly, and
 // the dense Cholesky factor+solve. Timings are min-of-N over many inner
-// iterations; the headline speedups are appended to BENCH_parallel.json
-// as a "simd" section so the perf trajectory is tracked across PRs.
+// iterations; the headline speedups are written to BENCH_parallel.json
+// as its "simd" section (replacing an earlier one) so the perf trajectory
+// is tracked from change to change.
 //
 // The naive references live in this translation unit, which is built
 // with the project's default flags — exactly how the pre-kernel solver
@@ -201,36 +202,6 @@ KernelTiming timeCholesky(std::size_t N, unsigned Iters) {
   return T;
 }
 
-/// Appends a "simd" section to the JSON object in \p Path (written by
-/// bench_parallel_speedup): splices before the final '}'. Writes a fresh
-/// object when the file is missing.
-void appendSimdSection(const char *Path, const std::string &Section) {
-  std::string Existing;
-  if (std::FILE *F = std::fopen(Path, "r")) {
-    char Buf[4096];
-    std::size_t Got;
-    while ((Got = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-      Existing.append(Buf, Got);
-    std::fclose(F);
-  }
-  std::size_t Close = Existing.rfind('}');
-  std::string Out;
-  if (Close == std::string::npos) {
-    Out = "{\n" + Section + "}\n";
-  } else {
-    Out = Existing.substr(0, Close);
-    while (!Out.empty() && (Out.back() == '\n' || Out.back() == ' '))
-      Out.pop_back();
-    Out += ",\n" + Section + "}\n";
-  }
-  if (std::FILE *F = std::fopen(Path, "w")) {
-    std::fwrite(Out.data(), 1, Out.size(), F);
-    std::fclose(F);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", Path);
-  }
-}
-
 } // namespace
 
 int main() {
@@ -255,7 +226,7 @@ int main() {
   };
 
   double MinSpeedup = Timings[0].speedup();
-  std::string Section = "  \"simd\": {\n    \"backend\": \"" +
+  std::string Section = "{\n    \"backend\": \"" +
                         std::string(kernels::backendName()) + "\",\n";
   for (const KernelTiming &T : Timings) {
     std::printf("%-10s naive %8.4fs   kernels %8.4fs   speedup %.2fx\n",
@@ -267,11 +238,11 @@ int main() {
     MinSpeedup = std::min(MinSpeedup, T.speedup());
   }
   char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "    \"min_speedup\": %.3f\n  }\n",
+  std::snprintf(Buf, sizeof(Buf), "    \"min_speedup\": %.3f\n  }",
                 MinSpeedup);
   Section += Buf;
 
-  appendSimdSection("BENCH_parallel.json", Section);
-  std::printf("\nappended simd section to BENCH_parallel.json\n");
+  writeJsonMember("BENCH_parallel.json", "simd", Section);
+  std::printf("\nwrote the simd section of BENCH_parallel.json\n");
   return 0;
 }

@@ -41,13 +41,24 @@ Problem::Problem(std::string Name, std::vector<Iterator> Iters,
                  std::vector<Tensor> Tensors)
     : ProblemName(std::move(Name)), Iters(std::move(Iters)),
       Tensors(std::move(Tensors)) {
+  assert(this->Iters.size() <= MaxIterators &&
+         "a problem has at most MaxIterators iterators");
   for ([[maybe_unused]] const Iterator &It : this->Iters)
     assert(It.Extent >= 1 && "iterator extents must be positive");
-  for ([[maybe_unused]] const Tensor &T : this->Tensors)
-    for ([[maybe_unused]] const DimRef &D : T.Dims)
-      for ([[maybe_unused]] const DimRef::Term &Term : D.Terms)
+  Compiled.reserve(this->Tensors.size());
+  for (const Tensor &T : this->Tensors) {
+    TensorTerms &C = Compiled.emplace_back();
+    for (const DimRef &D : T.Dims) {
+      for (const DimRef::Term &Term : D.Terms) {
         assert(Term.Iter < this->Iters.size() &&
                "tensor reference uses an unknown iterator");
+        C.IterMask |= std::uint64_t{1} << Term.Iter;
+        C.Terms.push_back({Term.Iter, /*LastInDim=*/false, Term.Stride});
+      }
+      if (!D.Terms.empty())
+        C.Terms.back().LastInDim = true;
+    }
+  }
 }
 
 unsigned Problem::iteratorIndex(const std::string &Name) const {

@@ -63,7 +63,46 @@ struct Tensor {
       const std::vector<std::int64_t> &TileExtents) const;
 };
 
-/// A dense-iteration-space tensor program (one CNN layer / one matmul).
+/// The most iterators a Problem may have: TensorTerms keeps one bit per
+/// iterator in a 64-bit mask, and the evaluators keep per-iterator tile
+/// extents in fixed arrays of this size instead of allocating them.
+inline constexpr unsigned MaxIterators = 64;
+
+/// One (iterator, stride) term of a tensor's projections, in a list that
+/// runs through all of the tensor's dimensions in order; LastInDim marks
+/// the final term of a dimension.
+struct FlatTerm {
+  unsigned Iter;
+  bool LastInDim;
+  std::int64_t Stride;
+};
+
+/// A tensor's projections compiled once, when its Problem is built, for
+/// the cost evaluators' hot path: which iterators the tensor uses, as a
+/// bitmask, and its terms in one flat list. A dimension with no terms
+/// (extent 1 under any tiling) is left out.
+struct TensorTerms {
+  std::uint64_t IterMask = 0; ///< Bit i set iff some dimension uses i.
+  std::vector<FlatTerm> Terms;
+
+  bool uses(unsigned Iter) const { return (IterMask >> Iter) & 1u; }
+
+  /// Tensor::footprintWords over extents indexed by iterator.
+  std::int64_t footprintWords(const std::int64_t *TileExtents) const {
+    std::int64_t Words = 1, DimExtent = 1;
+    for (const FlatTerm &T : Terms) {
+      DimExtent += T.Stride * (TileExtents[T.Iter] - 1);
+      if (T.LastInDim) {
+        Words *= DimExtent;
+        DimExtent = 1;
+      }
+    }
+    return Words;
+  }
+};
+
+/// A dense-iteration-space tensor program (one CNN layer / one matmul)
+/// of at most MaxIterators iterators.
 class Problem {
 public:
   Problem(std::string Name, std::vector<Iterator> Iters,
@@ -72,6 +111,8 @@ public:
   const std::string &name() const { return ProblemName; }
   const std::vector<Iterator> &iterators() const { return Iters; }
   const std::vector<Tensor> &tensors() const { return Tensors; }
+  /// tensors()[t] compiled for the evaluators, index for index.
+  const std::vector<TensorTerms> &tensorTerms() const { return Compiled; }
   unsigned numIterators() const { return Iters.size(); }
 
   /// Index of the iterator named \p Name; asserts existence.
@@ -87,6 +128,7 @@ private:
   std::string ProblemName;
   std::vector<Iterator> Iters;
   std::vector<Tensor> Tensors;
+  std::vector<TensorTerms> Compiled;
 };
 
 } // namespace thistle

@@ -13,7 +13,7 @@ using namespace thistle;
 
 std::string Hierarchy::validate() const {
   // Called on every evaluation (the evaluators assert it), so the
-  // passing path formats nothing.
+  // passing path formats and allocates nothing.
   if (Levels.size() < 2)
     return "hierarchy needs at least two levels";
   if (FanoutLevel < 1 || FanoutLevel >= Levels.size())

@@ -21,21 +21,6 @@ std::vector<std::int64_t> MultiMapping::tileExtents(const Hierarchy &H,
   return Ext;
 }
 
-std::vector<std::vector<std::int64_t>>
-MultiMapping::tileExtentsPerLevel(const Hierarchy &H) const {
-  const std::size_t NumIters = SpatialFactors.size();
-  std::vector<std::vector<std::int64_t>> Ext(
-      numLevels(), std::vector<std::int64_t>(NumIters));
-  for (std::size_t I = 0; I < NumIters; ++I) {
-    std::int64_t Temporal = 1;
-    for (unsigned L = 0; L < numLevels(); ++L) {
-      Temporal *= TempFactors[L][I];
-      Ext[L][I] = L >= H.FanoutLevel ? Temporal * SpatialFactors[I] : Temporal;
-    }
-  }
-  return Ext;
-}
-
 std::vector<std::int64_t>
 MultiMapping::sliceExtents(const Hierarchy &H) const {
   const std::size_t NumIters = SpatialFactors.size();
@@ -62,7 +47,7 @@ std::int64_t MultiMapping::numPEsUsed() const {
 std::string MultiMapping::validate(const Problem &Prob,
                                    const Hierarchy &H) const {
   // Called on every evaluation (the evaluators assert it), so the
-  // passing path formats nothing.
+  // passing path formats and allocates nothing.
   const unsigned NumIters = Prob.numIterators();
   if (TempFactors.size() != H.numLevels())
     return "temporal factor levels do not match the hierarchy depth";
@@ -89,18 +74,28 @@ std::string MultiMapping::validate(const Problem &Prob,
              std::to_string(Product) + ", expected " +
              std::to_string(It.Extent);
   }
-  std::vector<bool> Seen(NumIters);
+  // A Problem has at most MaxIterators iterators, so one word holds the
+  // seen set: NumIters entries in range form a permutation iff they set
+  // NumIters distinct bits.
+  const std::uint64_t AllIters =
+      NumIters == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << NumIters) - 1;
   for (const std::vector<unsigned> &Perm : Perms) {
     if (Perm.size() != NumIters)
       return "permutation arity mismatch";
-    std::fill(Seen.begin(), Seen.end(), false);
+    std::uint64_t Seen = 0;
+    bool OutOfRange = false;
     for (unsigned P : Perm) {
-      if (P >= NumIters || Seen[P])
-        return "not a permutation";
-      Seen[P] = true;
+      OutOfRange |= P >= NumIters;
+      Seen |= std::uint64_t{1} << (P % 64);
     }
+    if (OutOfRange || Seen != AllIters)
+      return "not a permutation";
   }
   return std::string();
+}
+
+bool MultiMapping::evaluable(const Problem &Prob, const Hierarchy &H) const {
+  return H.validate().empty() && validate(Prob, H).empty();
 }
 
 MultiMapping MultiMapping::untiled(const Problem &Prob, unsigned NumLevels) {

@@ -48,11 +48,6 @@ struct MultiMapping {
   std::vector<std::int64_t> tileExtents(const Hierarchy &H,
                                         unsigned Level) const;
 
-  /// tileExtents(H, l) for every level l, built in one cumulative pass
-  /// (the evaluators' per-call setup).
-  std::vector<std::vector<std::int64_t>>
-  tileExtentsPerLevel(const Hierarchy &H) const;
-
   /// Per-PE slice extents of the first shared level (the step size of a
   /// PE's spatial coordinate).
   std::vector<std::int64_t> sliceExtents(const Hierarchy &H) const;
@@ -61,6 +56,12 @@ struct MultiMapping {
 
   /// Empty string if consistent with \p Prob and \p H.
   std::string validate(const Problem &Prob, const Hierarchy &H) const;
+
+  /// True iff both \p H and this mapping validate: the precondition the
+  /// evaluators assert on every call. One out-of-line bool keeps the
+  /// validators' string results out of the evaluators' own code, which
+  /// otherwise compiles measurably slower around them.
+  bool evaluable(const Problem &Prob, const Hierarchy &H) const;
 
   /// Everything at level 0, identity permutations.
   static MultiMapping untiled(const Problem &Prob, unsigned NumLevels);

@@ -3,8 +3,8 @@
 #include "multilevel/MultiNestAnalysis.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -12,54 +12,87 @@ using namespace thistle;
 
 namespace {
 
+/// One level's loops in position space (outer to inner), shared by every
+/// tensor's walk of that level.
+struct LevelLoops {
+  const std::vector<unsigned> *Perm = nullptr;
+  const std::vector<std::int64_t> *Trips = nullptr;
+  /// Bit p set iff the loop at position p iterates (trip > 1).
+  std::uint64_t Iterating = 0;
+  /// TripsOuterTo[p]: product of the trips of the loops outer to p.
+  std::int64_t TripsOuterTo[MaxIterators];
+
+  LevelLoops(const std::vector<unsigned> &LevelPerm,
+             const std::vector<std::int64_t> &LevelTrips)
+      : Perm(&LevelPerm), Trips(&LevelTrips) {
+    std::int64_t Outer = 1;
+    for (std::size_t Pos = 0; Pos < LevelPerm.size(); ++Pos) {
+      std::int64_t Trip = LevelTrips[LevelPerm[Pos]];
+      TripsOuterTo[Pos] = Outer;
+      Outer *= Trip;
+      Iterating |= std::uint64_t{Trip > 1} << Pos;
+    }
+  }
+};
+
 /// Result of the Algorithm-1 walk of one level for one tensor, over
-/// concrete trip counts.
+/// concrete trip counts. With no streaming iterator, StreamTrip is 1, so
+/// the streaming union adds nothing whatever StreamIter names.
 struct LevelWalk {
   std::int64_t Multiplier = 1;
-  std::optional<unsigned> StreamIter;
+  unsigned StreamIter = 0;
   std::int64_t StreamTrip = 1;
 };
 
-LevelWalk walkLevel(const Tensor &T, const std::vector<unsigned> &Perm,
-                    const std::vector<std::int64_t> &Trips) {
+/// Walks \p Loops inner to outer for \p T: loops the tensor does not use
+/// hoist its copy until the first iterating loop it uses (the streaming
+/// one); every loop outer to that multiplies the traffic. Computed
+/// without branching on the mapping: the streaming loop is the innermost
+/// iterating position whose iterator the tensor uses.
+LevelWalk walkLevel(const TensorTerms &T, const LevelLoops &Loops) {
+  const std::vector<unsigned> &Perm = *Loops.Perm;
+  std::uint64_t UsedAt = 0; // Bit p set iff T uses Perm[p].
+  for (std::size_t Pos = 0; Pos < Perm.size(); ++Pos)
+    UsedAt |= ((T.IterMask >> Perm[Pos]) & 1u) << Pos;
   LevelWalk Walk;
-  bool CanHoist = true;
-  for (std::size_t Pos = Perm.size(); Pos > 0; --Pos) {
-    unsigned It = Perm[Pos - 1];
-    std::int64_t Trip = Trips[It];
-    if (Trip == 1)
-      continue;
-    if (CanHoist) {
-      if (T.usesIter(It)) {
-        CanHoist = false;
-        Walk.StreamIter = It;
-        Walk.StreamTrip = Trip;
-      }
-    } else {
-      Walk.Multiplier *= Trip;
-    }
+  if (std::uint64_t Streaming = UsedAt & Loops.Iterating) {
+    unsigned Pos = 63 - std::countl_zero(Streaming);
+    Walk.Multiplier = Loops.TripsOuterTo[Pos];
+    Walk.StreamIter = Perm[Pos];
+    Walk.StreamTrip = (*Loops.Trips)[Walk.StreamIter];
   }
   return Walk;
 }
 
-/// Exact union of StreamTrip consecutive tiles (min(E, shift) per dim).
-std::int64_t unionWords(const Tensor &T,
-                        const std::vector<std::int64_t> &Extents,
-                        const LevelWalk &Walk) {
-  std::int64_t Words = 1;
-  for (const DimRef &D : T.Dims) {
-    std::int64_t DimExtent = D.extentFor(Extents);
-    if (Walk.StreamIter && D.uses(*Walk.StreamIter)) {
-      std::int64_t Stride = 0;
-      for (const DimRef::Term &Term : D.Terms)
-        if (Term.Iter == *Walk.StreamIter)
-          Stride = Term.Stride;
-      std::int64_t Shift = Stride * Extents[*Walk.StreamIter];
-      DimExtent += (Walk.StreamTrip - 1) * std::min(DimExtent, Shift);
-    }
-    Words *= DimExtent;
+/// A tensor's tile at one level: its footprint, and the exact union of
+/// Walk.StreamTrip consecutive tiles along the streaming iterator (each
+/// step adds min(E, shift) to every dimension that uses it; shift is 0
+/// in the others).
+struct TileWords {
+  std::int64_t Footprint = 1;
+  std::int64_t Union = 1;
+};
+
+TileWords tileWords(const TensorTerms &T, const std::int64_t *Extents,
+                    const LevelWalk &Walk) {
+  TileWords Out;
+  const std::int64_t StreamExtent = Extents[Walk.StreamIter];
+  std::int64_t DimExtent = 1;
+  // Stride of the dimension's last term on the streaming iterator.
+  std::int64_t StreamStride = 0;
+  for (const FlatTerm &Term : T.Terms) {
+    DimExtent += Term.Stride * (Extents[Term.Iter] - 1);
+    StreamStride = Term.Iter == Walk.StreamIter ? Term.Stride : StreamStride;
+    if (!Term.LastInDim)
+      continue;
+    Out.Footprint *= DimExtent;
+    Out.Union *= DimExtent + (Walk.StreamTrip - 1) *
+                                 std::min(DimExtent,
+                                          StreamStride * StreamExtent);
+    DimExtent = 1;
+    StreamStride = 0;
   }
-  return Words;
+  return Out;
 }
 
 } // namespace
@@ -74,57 +107,68 @@ std::int64_t MultiProfile::boundaryWords(unsigned B) const {
 MultiProfile thistle::analyzeMultiNest(const Problem &Prob,
                                        const Hierarchy &H,
                                        const MultiMapping &Map) {
-  assert(H.validate().empty() && "hierarchy must validate");
-  assert(Map.validate(Prob, H).empty() && "mapping must validate");
+  assert(Map.evaluable(Prob, H) && "hierarchy and mapping must validate");
   const unsigned NumIters = Prob.numIterators();
   const unsigned L = H.numLevels();
   const unsigned F = H.FanoutLevel;
+  const std::vector<TensorTerms> &Tensors = Prob.tensorTerms();
 
+  // The returned profile is the only allocation: the walk keeps its
+  // per-iterator state in fixed arrays and visits the levels inner to
+  // outer, building each level's tile extents from the one below.
   MultiProfile Profile;
-  Profile.Words.assign(H.numBoundaries(),
-                       std::vector<std::int64_t>(Prob.tensors().size(), 0));
+  Profile.Words.resize(H.numBoundaries());
+  for (std::vector<std::int64_t> &BoundaryWords : Profile.Words)
+    BoundaryWords.resize(Tensors.size());
   Profile.Occupancy.assign(L, 0);
   Profile.PEsUsed = Map.numPEsUsed();
 
-  // Per-level tile extents and outer-trip products, hoisted out of the
-  // per-tensor loop: this is the hot path of the mapper and rounding.
-  const std::vector<std::vector<std::int64_t>> Extents =
-      Map.tileExtentsPerLevel(H);
-  // OuterTrips[Lv] = product of every trip count of levels > Lv.
-  std::vector<std::int64_t> OuterTrips(L, 1);
-  for (unsigned Lv = L - 1; Lv > 0; --Lv) {
-    std::int64_t LevelTrips = 1;
-    for (unsigned I = 0; I < NumIters; ++I)
-      LevelTrips *= Map.TempFactors[Lv][I];
-    OuterTrips[Lv - 1] = OuterTrips[Lv] * LevelTrips;
-  }
+  // Level Lv's tile extents. Entry 0 is set even for a problem without
+  // iterators: a walk with no streaming iterator reads it (and adds 0).
+  std::int64_t Extents[MaxIterators];
+  std::fill_n(Extents, std::max(NumIters, 1u), 1);
+  for (unsigned Lv = 0; Lv < L; ++Lv) {
+    for (unsigned I = 0; I < NumIters; ++I) {
+      Extents[I] *= Map.TempFactors[Lv][I];
+      if (Lv == F)
+        Extents[I] *= Map.SpatialFactors[I];
+    }
+    if (Lv + 1 == L) {
+      // The outermost level bounds no boundary: occupancy only.
+      for (const TensorTerms &T : Tensors)
+        Profile.Occupancy[Lv] += T.footprintWords(Extents);
+      break;
+    }
 
-  for (std::size_t TI = 0; TI < Prob.tensors().size(); ++TI) {
-    const Tensor &T = Prob.tensors()[TI];
-    for (unsigned B = 0; B < H.numBoundaries(); ++B) {
-      const unsigned WalkLevel = B + 1;
-      LevelWalk Walk =
-          walkLevel(T, Map.Perms[WalkLevel], Map.TempFactors[WalkLevel]);
+    // Boundary Lv is crossed by the loops of level Lv + 1.
+    const unsigned WalkLevel = Lv + 1;
+    const LevelLoops Loops(Map.Perms[WalkLevel], Map.TempFactors[WalkLevel]);
+    // Every trip count of the levels above the walked one.
+    std::int64_t OuterTrips = 1;
+    for (unsigned Up = WalkLevel + 1; Up < L; ++Up)
+      for (unsigned I = 0; I < NumIters; ++I)
+        OuterTrips *= Map.TempFactors[Up][I];
 
-      // Every trip count of the levels above the walked one.
-      std::int64_t M = Walk.Multiplier * OuterTrips[WalkLevel];
+    for (std::size_t TI = 0; TI < Tensors.size(); ++TI) {
+      const TensorTerms &T = Tensors[TI];
+      LevelWalk Walk = walkLevel(T, Loops);
+
+      std::int64_t M = Walk.Multiplier * OuterTrips;
       // Spatial contribution (see file header).
       if (WalkLevel < F) {
-        for (unsigned I = 0; I < NumIters; ++I)
-          M *= Map.SpatialFactors[I];
+        M *= Profile.PEsUsed;
       } else if (WalkLevel == F) {
         for (unsigned I = 0; I < NumIters; ++I)
-          if (T.usesIter(I))
-            M *= Map.SpatialFactors[I];
+          M *= T.uses(I) ? Map.SpatialFactors[I] : 1;
       }
 
-      std::int64_t Volume = M * unionWords(T, Extents[B], Walk);
-      if (T.ReadWrite)
+      TileWords Tile = tileWords(T, Extents, Walk);
+      std::int64_t Volume = M * Tile.Union;
+      if (Prob.tensors()[TI].ReadWrite)
         Volume *= 2;
-      Profile.Words[B][TI] = Volume;
+      Profile.Words[Lv][TI] = Volume;
+      Profile.Occupancy[Lv] += Tile.Footprint;
     }
-    for (unsigned Lv = 0; Lv < L; ++Lv)
-      Profile.Occupancy[Lv] += T.footprintWords(Extents[Lv]);
   }
   return Profile;
 }
@@ -162,45 +206,39 @@ MultiEvalResult thistle::priceMultiProfile(const Problem &Prob,
   const unsigned L = H.numLevels();
   const double Nops = static_cast<double>(Prob.numOps());
 
-  // Boundary traffic, as doubles, with one-past-the-end zeros so every
-  // level sees its two adjacent boundaries (W_{-1} = W_{L-1} = 0).
-  std::vector<double> W(H.numBoundaries());
-  for (unsigned B = 0; B < H.numBoundaries(); ++B)
-    W[B] = static_cast<double>(P.boundaryWords(B));
-  auto boundary = [&](int B) {
-    return B < 0 || B >= static_cast<int>(H.numBoundaries()) ? 0.0 : W[B];
-  };
-
   // Energy, Eq. 3 generalized: the MAC term (register accesses ride every
   // operation), then each level priced over the words crossing its two
-  // adjacent boundaries. Grouping by level (not by boundary) keeps the
-  // floating-point sum identical to the fixed-depth Eq. 3 components.
+  // adjacent boundaries (W_{-1} = W_{L-1} = 0). Grouping by level (not by
+  // boundary) keeps the floating-point sum identical to the fixed-depth
+  // Eq. 3 components. Delay (section V-B): compute bound plus each
+  // level's bandwidth over the same words; private levels have one
+  // instance per used PE.
   Result.MacEnergyPj =
       (4.0 * H.Levels[0].AccessEnergyPj + H.MacEnergyPj) * Nops;
+  Result.ComputeCycles = Nops / static_cast<double>(P.PEsUsed);
   Result.EnergyPerLevelPj.assign(L, 0.0);
-  for (unsigned Lv = 0; Lv < L; ++Lv)
-    Result.EnergyPerLevelPj[Lv] =
-        H.Levels[Lv].AccessEnergyPj *
-        (boundary(static_cast<int>(Lv) - 1) + boundary(static_cast<int>(Lv)));
+  Result.CyclesPerLevel.assign(L, 0.0);
   double Energy = Result.MacEnergyPj;
-  for (unsigned Lv = 0; Lv < L; ++Lv)
+  double Cycles = Result.ComputeCycles;
+  double Below = 0.0; // W_{Lv-1}, as a double.
+  for (unsigned Lv = 0; Lv < L; ++Lv) {
+    const double Above =
+        Lv < H.numBoundaries() ? static_cast<double>(P.boundaryWords(Lv))
+                               : 0.0;
+    const double Words = Below + Above;
+    Result.EnergyPerLevelPj[Lv] = H.Levels[Lv].AccessEnergyPj * Words;
     Energy += Result.EnergyPerLevelPj[Lv];
+    if (Lv > 0) {
+      double Instances =
+          Lv < H.FanoutLevel ? static_cast<double>(P.PEsUsed) : 1.0;
+      Result.CyclesPerLevel[Lv] =
+          Words / (H.Levels[Lv].Bandwidth * Instances);
+      Cycles = std::max(Cycles, Result.CyclesPerLevel[Lv]);
+    }
+    Below = Above;
+  }
   Result.EnergyPj = Energy;
   Result.EnergyPerMacPj = Energy / Nops;
-
-  // Delay (section V-B): compute bound plus each level's bandwidth over
-  // its adjacent boundaries; private levels have one instance per used PE.
-  Result.ComputeCycles = Nops / static_cast<double>(P.PEsUsed);
-  Result.CyclesPerLevel.assign(L, 0.0);
-  double Cycles = Result.ComputeCycles;
-  for (unsigned Lv = 1; Lv < L; ++Lv) {
-    double Words =
-        boundary(static_cast<int>(Lv) - 1) + boundary(static_cast<int>(Lv));
-    double Instances =
-        Lv < H.FanoutLevel ? static_cast<double>(P.PEsUsed) : 1.0;
-    Result.CyclesPerLevel[Lv] = Words / (H.Levels[Lv].Bandwidth * Instances);
-    Cycles = std::max(Cycles, Result.CyclesPerLevel[Lv]);
-  }
   Result.Cycles = std::max(Cycles, 1.0);
   Result.MacIpc = Nops / Result.Cycles;
   Result.EdpPjCycles = Result.EnergyPj * Result.Cycles;

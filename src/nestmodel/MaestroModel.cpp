@@ -13,12 +13,15 @@
 
 #include "nestmodel/MaestroModel.h"
 
+#include <algorithm>
 #include <cassert>
-#include <optional>
 
 using namespace thistle;
 
 namespace {
+
+/// "No streaming iterator" in a StreamInfo.
+constexpr unsigned NoIter = ~0u;
 
 /// The streaming iterator of tensor \p T at one level: the
 /// innermost-positioned iterator in \p Perm (outer-to-inner order) that
@@ -27,7 +30,7 @@ namespace {
 /// stationary across those loops; along it the tile slides and only halo
 /// words are new.
 struct StreamInfo {
-  std::optional<unsigned> Iter;
+  unsigned Iter = NoIter;
   std::int64_t Trip = 1;
   /// Product of the trips of the loops inner to the streaming one — the
   /// tensor's stationary (temporal) reuse at this level. When no
@@ -35,14 +38,14 @@ struct StreamInfo {
   std::int64_t StationaryReuse = 1;
 };
 
-StreamInfo findStream(const Tensor &T, const std::vector<unsigned> &Perm,
+StreamInfo findStream(const TensorTerms &T, const std::vector<unsigned> &Perm,
                       const std::vector<std::int64_t> &Trips) {
   StreamInfo Info;
   for (std::size_t Pos = Perm.size(); Pos > 0; --Pos) {
     unsigned It = Perm[Pos - 1];
     if (Trips[It] <= 1)
       continue;
-    if (T.usesIter(It)) {
+    if (T.uses(It)) {
       Info.Iter = It;
       Info.Trip = Trips[It];
       return Info;
@@ -56,25 +59,33 @@ StreamInfo findStream(const Tensor &T, const std::vector<unsigned> &Perm,
 /// first tile box plus, per subsequent step, the words not covered by
 /// the previous tile (overlap subtraction, per dimension). With no
 /// streaming iterator this is just the tile box.
-std::int64_t streamedSequenceWords(const Tensor &T,
-                                   const std::vector<std::int64_t> &Extents,
+std::int64_t streamedSequenceWords(const TensorTerms &T,
+                                   const std::int64_t *Extents,
                                    const StreamInfo &Stream) {
   std::int64_t Words = 1;
-  for (const DimRef &D : T.Dims) {
-    std::int64_t Box = D.extentFor(Extents);
+  std::int64_t Box = 1;
+  // Stride of the dimension's last term on the streaming iterator.
+  std::int64_t Stride = 0;
+  bool Streams = false;
+  for (const FlatTerm &Term : T.Terms) {
+    Box += Term.Stride * (Extents[Term.Iter] - 1);
+    if (Term.Iter == Stream.Iter) {
+      Streams = true;
+      Stride = Term.Stride;
+    }
+    if (!Term.LastInDim)
+      continue;
     std::int64_t Delivered = Box;
-    if (Stream.Iter && D.uses(*Stream.Iter)) {
-      std::int64_t Stride = 0;
-      for (const DimRef::Term &Term : D.Terms)
-        if (Term.Iter == *Stream.Iter)
-          Stride = Term.Stride;
+    if (Streams) {
       // Consecutive tiles are shifted by Stride * tile points; the
       // overlap is whatever the shift leaves of the box.
-      std::int64_t Shift = Stride * Extents[*Stream.Iter];
+      std::int64_t Shift = Stride * Extents[Stream.Iter];
       std::int64_t Overlap = std::max<std::int64_t>(0, Box - Shift);
       Delivered = Stream.Trip * Box - (Stream.Trip - 1) * Overlap;
     }
     Words *= Delivered;
+    Box = 1;
+    Streams = false;
   }
   return Words;
 }
@@ -84,42 +95,57 @@ std::int64_t streamedSequenceWords(const Tensor &T,
 MultiProfile MaestroCostEvaluator::profile(const Problem &Prob,
                                            const Hierarchy &H,
                                            const MultiMapping &Map) const {
-  assert(H.validate().empty() && "hierarchy must validate");
-  assert(Map.validate(Prob, H).empty() && "mapping must validate");
+  assert(Map.evaluable(Prob, H) && "hierarchy and mapping must validate");
   const unsigned NumIters = Prob.numIterators();
   const unsigned L = H.numLevels();
   const unsigned F = H.FanoutLevel;
+  const std::vector<TensorTerms> &Tensors = Prob.tensorTerms();
 
+  // As in the nest walk, the returned profile is the only allocation:
+  // levels are visited inner to outer with their tile extents built in
+  // a fixed array.
   MultiProfile Profile;
-  Profile.Words.assign(H.numBoundaries(),
-                       std::vector<std::int64_t>(Prob.tensors().size(), 0));
+  Profile.Words.resize(H.numBoundaries());
+  for (std::vector<std::int64_t> &BoundaryWords : Profile.Words)
+    BoundaryWords.resize(Tensors.size());
   Profile.Occupancy.assign(L, 0);
   Profile.PEsUsed = Map.numPEsUsed();
+  const std::int64_t AllSpatialTrips = Profile.PEsUsed;
 
-  const std::vector<std::vector<std::int64_t>> Extents =
-      Map.tileExtentsPerLevel(H);
-
-  // Total temporal trips per level and the product over the levels above
-  // each one (the enclosing-iteration count of a level's sequence).
-  std::vector<std::int64_t> LevelTrips(L, 1);
+  // The mapping's whole temporal iteration count; divided by the trips
+  // of the levels up to a walked one it leaves the enclosing-iteration
+  // count of that level's sequences (exact: integer products of the
+  // same factors).
+  std::int64_t AllTrips = 1;
   for (unsigned Lv = 0; Lv < L; ++Lv)
     for (unsigned I = 0; I < NumIters; ++I)
-      LevelTrips[Lv] *= Map.TempFactors[Lv][I];
-  std::vector<std::int64_t> EnclosingTrips(L, 1);
-  for (unsigned Lv = L - 1; Lv > 0; --Lv)
-    EnclosingTrips[Lv - 1] = EnclosingTrips[Lv] * LevelTrips[Lv];
+      AllTrips *= Map.TempFactors[Lv][I];
 
-  const std::int64_t AllSpatialTrips = [&] {
-    std::int64_t P = 1;
+  std::int64_t Extents[MaxIterators];
+  std::fill_n(Extents, NumIters, 1);
+  std::int64_t TripsThrough = 1; // Every trip of levels <= Lv.
+  for (unsigned Lv = 0; Lv < L; ++Lv) {
+    for (unsigned I = 0; I < NumIters; ++I) {
+      Extents[I] *= Map.TempFactors[Lv][I];
+      if (Lv == F)
+        Extents[I] *= Map.SpatialFactors[I];
+      TripsThrough *= Map.TempFactors[Lv][I];
+    }
+    for (const TensorTerms &T : Tensors)
+      Profile.Occupancy[Lv] += T.footprintWords(Extents);
+    if (Lv + 1 == L)
+      break;
+
+    // Boundary Lv is fed by the sequences of level Lv + 1.
+    const unsigned WalkLevel = Lv + 1;
+    std::int64_t LevelTrips = 1;
     for (unsigned I = 0; I < NumIters; ++I)
-      P *= Map.SpatialFactors[I];
-    return P;
-  }();
+      LevelTrips *= Map.TempFactors[WalkLevel][I];
+    const std::int64_t EnclosingTrips =
+        AllTrips / (TripsThrough * LevelTrips);
 
-  for (std::size_t TI = 0; TI < Prob.tensors().size(); ++TI) {
-    const Tensor &T = Prob.tensors()[TI];
-    for (unsigned B = 0; B < H.numBoundaries(); ++B) {
-      const unsigned WalkLevel = B + 1;
+    for (std::size_t TI = 0; TI < Tensors.size(); ++TI) {
+      const TensorTerms &T = Tensors[TI];
       StreamInfo Stream = findStream(T, Map.Perms[WalkLevel],
                                      Map.TempFactors[WalkLevel]);
 
@@ -127,11 +153,10 @@ MultiProfile MaestroCostEvaluator::profile(const Problem &Prob,
       // count divided by the stationary reuse and by the steps already
       // inside one streamed sequence. Exact: StationaryReuse and
       // Stream.Trip are trip products of disjoint loop subsets.
-      assert(LevelTrips[WalkLevel] %
-                 (Stream.StationaryReuse * Stream.Trip) == 0 &&
+      assert(LevelTrips % (Stream.StationaryReuse * Stream.Trip) == 0 &&
              "reuse factors must divide the level trip product");
       std::int64_t Sequences =
-          LevelTrips[WalkLevel] / (Stream.StationaryReuse * Stream.Trip);
+          LevelTrips / (Stream.StationaryReuse * Stream.Trip);
 
       // Spatial reuse: below the fan-out every PE sees private traffic;
       // at the fan-out the grid-wide demand is divided by the multicast
@@ -143,22 +168,19 @@ MultiProfile MaestroCostEvaluator::profile(const Problem &Prob,
       } else if (WalkLevel == F) {
         std::int64_t MulticastReuse = 1;
         for (unsigned I = 0; I < NumIters; ++I)
-          if (!T.usesIter(I))
+          if (!T.uses(I))
             MulticastReuse *= Map.SpatialFactors[I];
         assert(AllSpatialTrips % MulticastReuse == 0 &&
                "multicast reuse must divide the spatial trip product");
         SpatialMult = AllSpatialTrips / MulticastReuse;
       }
 
-      std::int64_t Volume = Sequences * EnclosingTrips[WalkLevel] *
-                            SpatialMult *
-                            streamedSequenceWords(T, Extents[B], Stream);
-      if (T.ReadWrite)
+      std::int64_t Volume = Sequences * EnclosingTrips * SpatialMult *
+                            streamedSequenceWords(T, Extents, Stream);
+      if (Prob.tensors()[TI].ReadWrite)
         Volume *= 2;
-      Profile.Words[B][TI] = Volume;
+      Profile.Words[Lv][TI] = Volume;
     }
-    for (unsigned Lv = 0; Lv < L; ++Lv)
-      Profile.Occupancy[Lv] += T.footprintWords(Extents[Lv]);
   }
   return Profile;
 }

@@ -181,9 +181,9 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
 
   auto footprintsFit = [&]() {
     std::int64_t RegWords = 0, SramWords = 0;
-    for (const Tensor &T : Prob.tensors()) {
-      RegWords += T.footprintWords(RegExt);
-      SramWords += T.footprintWords(SramExt);
+    for (const TensorTerms &T : Prob.tensorTerms()) {
+      RegWords += T.footprintWords(RegExt.data());
+      SramWords += T.footprintWords(SramExt.data());
     }
     return RegWords <= MaxReg && SramWords <= MaxSram;
   };
@@ -200,9 +200,7 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
                   static_cast<double>(Arch.NumPEs))
         continue;
       ++Tried;
-      // The generic evaluation, named after the Eq. 3 components.
-      EvalResult Eval = evalResultFromMulti(
-          Arch, Evaluator.evaluate(Prob, Hiers[A], MultiMap));
+      MultiEvalResult Eval = Evaluator.evaluate(Prob, Hiers[A], MultiMap);
       if (!Eval.Legal)
         continue;
       double Obj = objectiveValue(Eval, Spec.Objective);
@@ -210,7 +208,8 @@ RoundedDesign thistle::roundSolution(const Problem &Prob,
         Best.Found = true;
         Best.Arch = Arch;
         Best.Map = MultiMap.toMapping();
-        Best.Eval = std::move(Eval);
+        // Only a new best is named after the Eq. 3 components.
+        Best.Eval = evalResultFromMulti(Arch, std::move(Eval));
         BestObj = Obj;
       }
     }

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomMapping.h"
 #include "multilevel/MultiSim.h"
 #include "nestmodel/CostEvaluator.h"
 #include "nestmodel/MaestroModel.h"
@@ -31,33 +32,6 @@
 using namespace thistle;
 
 namespace {
-
-/// Random valid MultiMapping by hierarchical divisor sampling.
-MultiMapping randomMultiMapping(const Problem &P, unsigned NumLevels,
-                                Rng &R) {
-  const unsigned NumIters = P.numIterators();
-  MultiMapping M;
-  M.TempFactors.assign(NumLevels, std::vector<std::int64_t>(NumIters, 1));
-  M.SpatialFactors.assign(NumIters, 1);
-  for (unsigned I = 0; I < NumIters; ++I) {
-    std::int64_t Rest = P.iterators()[I].Extent;
-    for (unsigned L = 0; L + 1 < NumLevels; ++L) {
-      std::int64_t F = R.pick(divisorsOf(Rest));
-      M.TempFactors[L][I] = F;
-      Rest /= F;
-    }
-    std::int64_t Sp = R.pick(divisorsOf(Rest));
-    M.SpatialFactors[I] = Sp;
-    M.TempFactors[NumLevels - 1][I] = Rest / Sp;
-  }
-  std::vector<unsigned> Identity(NumIters);
-  for (unsigned I = 0; I < NumIters; ++I)
-    Identity[I] = I;
-  M.Perms.assign(NumLevels, Identity);
-  for (unsigned L = 1; L < NumLevels; ++L)
-    R.shuffle(M.Perms[L]);
-  return M;
-}
 
 /// The two hierarchies the tool exposes, at the Eyeriss baseline.
 std::vector<Hierarchy> toolHierarchies() {

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomMapping.h"
 #include "ir/Builders.h"
 #include "multilevel/MultiGp.h"
 #include "multilevel/MultiSim.h"
@@ -45,34 +46,6 @@ Hierarchy testHierarchy(unsigned NumLevels, unsigned FanoutLevel) {
                         0.5 * (L + 1), 16.0});
   H.FanoutLevel = FanoutLevel;
   return H;
-}
-
-/// Random valid MultiMapping by hierarchical divisor sampling.
-MultiMapping randomMultiMapping(const Problem &P, unsigned NumLevels,
-                                Rng &R) {
-  const unsigned NumIters = P.numIterators();
-  MultiMapping M;
-  M.TempFactors.assign(NumLevels,
-                       std::vector<std::int64_t>(NumIters, 1));
-  M.SpatialFactors.assign(NumIters, 1);
-  for (unsigned I = 0; I < NumIters; ++I) {
-    std::int64_t Rest = P.iterators()[I].Extent;
-    for (unsigned L = 0; L + 1 < NumLevels; ++L) {
-      std::int64_t F = R.pick(divisorsOf(Rest));
-      M.TempFactors[L][I] = F;
-      Rest /= F;
-    }
-    std::int64_t Sp = R.pick(divisorsOf(Rest));
-    M.SpatialFactors[I] = Sp;
-    M.TempFactors[NumLevels - 1][I] = Rest / Sp;
-  }
-  std::vector<unsigned> Identity(NumIters);
-  for (unsigned I = 0; I < NumIters; ++I)
-    Identity[I] = I;
-  M.Perms.assign(NumLevels, Identity);
-  for (unsigned L = 1; L < NumLevels; ++L)
-    R.shuffle(M.Perms[L]);
-  return M;
 }
 
 } // namespace
@@ -354,12 +327,6 @@ TEST(MultiNestAnalysis, MatchesOracleOnRandomHierarchies) {
             EXPECT_EQ(Model.Words[B][T], Oracle.Words[B][T])
                 << "boundary " << B << " tensor "
                 << P.tensors()[T].Name;
-        // The model's one-pass extents equal the per-level ones the
-        // oracle walks.
-        std::vector<std::vector<std::int64_t>> Extents =
-            M.tileExtentsPerLevel(H);
-        for (unsigned Lv = 0; Lv < NumLevels; ++Lv)
-          EXPECT_EQ(Extents[Lv], M.tileExtents(H, Lv)) << "level " << Lv;
       }
     }
   }
